@@ -13,8 +13,7 @@ from .dsp import analytic_signal, cosine_phase, default_phase_eps, hilbert_envel
 from .epochs import ZffConfig, estimate_mean_pitch, extract_epochs, zff_filter
 from .harness import (CorpusManifest, EvalReport, ManifestEntry, MethodTally, TrialRecord,
                       evaluate_corpus, load_wav, parse_manifest, render_report, save_wav)
-from .hilbert_phase import (HpConfig, detect_polarity_hp, phase_sign_at_peak, select_he_peaks,
-                            slope_sign_at_peak)
+from .hilbert_phase import HpConfig, detect_polarity_hp, phase_sign_at_peak, select_he_peaks
 from .reskew import (LpConfig, detect_polarity_reskew, glottal_flow_estimate, levinson,
                      lp_residual, reskew_statistic, skewness)
 from .synth import (NoiseSpec, SynthSpec, generate_utterance, generate_utterance_with_instants,
@@ -34,5 +33,5 @@ __all__ = [
     "generate_utterance_with_instants", "glottal_flow_estimate", "hilbert_envelope",
     "hilbert_transform", "levinson", "load_wav", "lp_residual", "mix_noise", "parse_manifest",
     "phase_sign_at_peak", "render_report", "reskew_statistic", "save_wav", "select_he_peaks",
-    "skewness", "slope_sign_at_peak", "zff_filter",
+    "skewness", "zff_filter",
 ]

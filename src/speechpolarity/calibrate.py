@@ -26,7 +26,7 @@ CALIBRATION_FORMANTS = (
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    slope_sign_for_positive: int
+    vote_sign_for_positive: int
     reskew_sign_for_positive: int
     vote_agreement: float
     statistic_agreement: float
@@ -50,8 +50,8 @@ def calibrate(seed: int = 20240101) -> CalibrationResult:
     for spec in _battery(seed):
         s = generate_utterance(spec)
         decision = detect_polarity_hp(s, hcfg=probe)
-        if decision.positive_slope_votes != decision.negative_slope_votes:
-            vote_signs.append(1 if decision.positive_slope_votes > decision.negative_slope_votes else -1)
+        if decision.positive_votes != decision.negative_votes:
+            vote_signs.append(1 if decision.positive_votes > decision.negative_votes else -1)
         stat = reskew_statistic(s)
         if stat != 0.0:
             stat_signs.append(1 if stat > 0 else -1)

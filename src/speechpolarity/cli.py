@@ -14,9 +14,7 @@ from pathlib import Path
 
 from .calibrate import calibrate
 from .config import build_configs, parse_config_file
-from .harness import evaluate_corpus, load_wav, parse_manifest, render_report, save_wav
-from .hilbert_phase import detect_polarity_hp
-from .reskew import detect_polarity_reskew
+from .harness import METHODS, evaluate_corpus, load_wav, parse_manifest, render_report, save_wav
 from .synth import NoiseSpec, SynthSpec, generate_utterance
 from .types import InvalidInputError, Polarity, UndefinedStatisticError
 
@@ -41,13 +39,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_detect = sub.add_parser("detect", help="decide the polarity of one WAV file")
     p_detect.add_argument("file")
-    p_detect.add_argument("--method", choices=("hp", "reskew", "both"), default="both")
+    p_detect.add_argument("--method", choices=(*METHODS, "both"), default="both")
     p_detect.add_argument("--json", action="store_true", help="machine-readable output")
     p_detect.add_argument("--config", help="key = value config file")
 
     p_eval = sub.add_parser("eval", help="evaluate a corpus manifest")
     p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--methods", default="hp,reskew", help="comma-separated subset of hp,reskew")
+    p_eval.add_argument("--methods", default=",".join(METHODS),
+                        help=f"comma-separated subset of {','.join(METHODS)}")
     p_eval.add_argument("--snr", help="comma-separated SNR levels in dB for a noise sweep")
     p_eval.add_argument("--noise", default="white", help="white, pink, or file:<path>")
     p_eval.add_argument("--seed", type=int, default=0)
@@ -75,13 +74,8 @@ def _load_configs(path: str | None):
 def _cmd_detect(args) -> int:
     zcfg, hcfg, lcfg = _load_configs(args.config)
     signal = load_wav(args.file)
-    methods = ("hp", "reskew") if args.method == "both" else (args.method,)
-    decisions = {}
-    for m in methods:
-        if m == "hp":
-            decisions[m] = detect_polarity_hp(signal, zcfg=zcfg, hcfg=hcfg)
-        else:
-            decisions[m] = detect_polarity_reskew(signal, cfg=lcfg)
+    methods = tuple(METHODS) if args.method == "both" else (args.method,)
+    decisions = {m: METHODS[m](signal, zcfg, hcfg, lcfg) for m in methods}
     if args.json:
         payload = {
             "file": args.file,
@@ -138,7 +132,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_calibrate(_args) -> int:
     result = calibrate()
-    print(f"slope_sign_for_positive = {result.slope_sign_for_positive:+d} "
+    print(f"vote_sign_for_positive = {result.vote_sign_for_positive:+d} "
           f"(vote agreement {100 * result.vote_agreement:.1f}%)")
     print(f"reskew statistic sign for positive = {result.reskew_sign_for_positive:+d} "
           f"(agreement {100 * result.statistic_agreement:.1f}%)")

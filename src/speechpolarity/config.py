@@ -7,8 +7,8 @@ override file values.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .epochs import ZffConfig
 from .hilbert_phase import HpConfig
@@ -19,22 +19,19 @@ _SECTIONS = {"zff": ZffConfig, "hp": HpConfig, "lp": LpConfig}
 
 
 def _coerce(cls, name: str, raw: str):
-    for f in fields(cls):
-        if f.name == name:
-            break
-    else:
+    declared = get_type_hints(cls).get(name)
+    if declared is None:
         raise InvalidInputError(f"unknown option {name!r} for section")
     text = raw.strip()
     if text.lower() in ("none", "auto"):
         return None
-    if cls is HpConfig and name == "vote_rule":
-        return text
     try:
         value = float(text)
     except ValueError:
         raise InvalidInputError(f"cannot parse {raw!r} as a number for {name}") from None
-    if value == int(value) and name in ("trend_passes", "min_votes", "order",
-                                        "slope_sign_for_positive"):
+    if declared is int or int in get_args(declared):
+        if not value.is_integer():
+            raise InvalidInputError(f"{name} must be an integer, got {text!r}")
         return int(value)
     return value
 

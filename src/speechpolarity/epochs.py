@@ -101,14 +101,8 @@ def estimate_mean_pitch(s: Signal, cfg: ZffConfig | None = None) -> float:
     return float(np.mean(pitches))
 
 
-def _auto_trend_window_ms(s: Signal, cfg: ZffConfig) -> float:
-    if cfg.trend_window_ms is not None:
-        return cfg.trend_window_ms
-    pitch = estimate_mean_pitch(s, cfg)
-    return float(np.clip(1.5 * 1000.0 / pitch, 3.0, 25.0))
-
-
-def zff_filter(s: Signal, cfg: ZffConfig | None = None) -> Signal:
+def zff_filter(s: Signal, cfg: ZffConfig | None = None,
+               mean_pitch_hz: float | None = None) -> Signal:
     """Zero-frequency filter: difference, double resonator pass, trend removal.
 
     The input is differenced, passed twice through the zero-frequency
@@ -117,11 +111,16 @@ def zff_filter(s: Signal, cfg: ZffConfig | None = None) -> Signal:
     trend is removed by subtracting the local mean ``trend_passes`` times.
     The outermost two trend windows are zeroed: the truncated-window mean
     cannot track the polynomial growth right at the boundaries, and anchors
-    that close to the edges are of no use downstream.
+    that close to the edges are of no use downstream.  The automatic trend
+    window uses ``mean_pitch_hz`` when given, else estimates it from ``s``.
     """
     cfg = cfg or ZffConfig()
     fs = s.sample_rate_hz
-    window_ms = _auto_trend_window_ms(s, cfg)
+    window_ms = cfg.trend_window_ms
+    if window_ms is None:
+        if mean_pitch_hz is None:
+            mean_pitch_hz = estimate_mean_pitch(s, cfg)
+        window_ms = float(np.clip(1.5 * 1000.0 / mean_pitch_hz, 3.0, 25.0))
     width = int(round(window_ms * fs / 1000.0))
     if width % 2 == 0:
         width += 1

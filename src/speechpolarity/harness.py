@@ -23,9 +23,15 @@ from .hilbert_phase import HpConfig, detect_polarity_hp
 from .reskew import LpConfig, detect_polarity_reskew
 from .epochs import ZffConfig
 from .synth import NoiseSpec, mix_noise
-from .types import InvalidInputError, Polarity, PolarityDecision, Signal
+from .types import InvalidInputError, Polarity, Signal
 
-KNOWN_METHODS = ("hp", "reskew")
+# Method name -> detector(signal, zcfg, hcfg, lcfg).  The detectors are
+# looked up by name at call time, so rebinding a module attribute reaches
+# every caller.
+METHODS = {
+    "hp": lambda s, zcfg, hcfg, lcfg: detect_polarity_hp(s, zcfg=zcfg, hcfg=hcfg),
+    "reskew": lambda s, zcfg, hcfg, lcfg: detect_polarity_reskew(s, cfg=lcfg),
+}
 KINDS = ("speech", "egg")
 
 INT16_SCALE = 32768.0
@@ -150,15 +156,7 @@ class EvalReport:
     consistency_failures: list = field(default_factory=list)
 
 
-def _decide(method: str, s: Signal, zcfg, hcfg, lcfg) -> PolarityDecision:
-    if method == "hp":
-        return detect_polarity_hp(s, zcfg=zcfg, hcfg=hcfg)
-    if method == "reskew":
-        return detect_polarity_reskew(s, cfg=lcfg)
-    raise InvalidInputError(f"unknown method {method!r}")
-
-
-def evaluate_corpus(manifest: CorpusManifest, methods=("hp", "reskew"),
+def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS),
                     noise_sweep=None, zcfg: ZffConfig | None = None,
                     hcfg: HpConfig | None = None, lcfg: LpConfig | None = None) -> EvalReport:
     """Run the double-orientation protocol over a manifest.
@@ -171,8 +169,8 @@ def evaluate_corpus(manifest: CorpusManifest, methods=("hp", "reskew"),
     """
     methods = tuple(m for m in methods if m)
     for m in methods:
-        if m not in KNOWN_METHODS:
-            raise InvalidInputError(f"unknown method {m!r}; expected subset of {KNOWN_METHODS}")
+        if m not in METHODS:
+            raise InvalidInputError(f"unknown method {m!r}; expected subset of {tuple(METHODS)}")
     if manifest is not None and not manifest.entries and methods:
         raise InvalidInputError("manifest is empty")
 
@@ -185,51 +183,44 @@ def evaluate_corpus(manifest: CorpusManifest, methods=("hp", "reskew"),
 
     for file_idx, entry in enumerate(manifest.entries):
         try:
-            clean = load_wav(entry.path)
+            clean, load_error = load_wav(entry.path), None
         except Exception as exc:  # recorded, not raised
-            for level in levels:
-                snr = level.snr_db if level else None
-                for orientation in ("original", "negated"):
-                    for m in methods:
-                        records.append(TrialRecord(entry.path, entry.kind, orientation, snr, m,
-                                                   entry.true_polarity.value, "error", "-", False,
-                                                   error=str(exc)))
-                        tallies[m].indeterminate += 1
-                        if per_snr is not None and snr is not None:
-                            bad, tot = snr_counts[m].get(snr, (0, 0))
-                            snr_counts[m][snr] = (bad + 1, tot + 1)
-            continue
+            clean, load_error = None, str(exc)
 
         for level_idx, level in enumerate(levels):
-            if level is None:
-                base, snr = clean, None
-            else:
+            snr = level.snr_db if level else None
+            base = clean
+            if clean is not None and level is not None:
                 seed = int(np.random.SeedSequence((level.seed, file_idx, level_idx)).generate_state(1)[0])
                 base = mix_noise(clean, NoiseSpec(level.kind, level.snr_db, seed=seed, path=level.path))
-                snr = level.snr_db
             outcomes = {}
-            for orientation, sig, expected in (("original", base, entry.true_polarity),
-                                               ("negated", base.negated(), entry.true_polarity.flipped())):
+            for orientation, sig, expected in (
+                    ("original", base, entry.true_polarity),
+                    ("negated", None if base is None else base.negated(),
+                     entry.true_polarity.flipped())):
                 for m in methods:
-                    try:
-                        decision = _decide(m, sig, zcfg, hcfg, lcfg)
-                        ok = decision.polarity is expected
+                    decision, error = None, load_error
+                    if sig is not None:
+                        try:
+                            decision = METHODS[m](sig, zcfg, hcfg, lcfg)
+                        except Exception as exc:  # recorded, not raised
+                            error = str(exc)
+                    ok = decision is not None and decision.polarity is expected
+                    if decision is None:
+                        records.append(TrialRecord(entry.path, entry.kind, orientation, snr, m,
+                                                   expected.value, "error", "-", False, error=error))
+                    else:
                         records.append(TrialRecord(entry.path, entry.kind, orientation, snr, m,
                                                    expected.value, decision.polarity.value,
                                                    decision.evidence(), ok))
-                        if ok:
-                            tallies[m].correct += 1
-                        elif decision.polarity is Polarity.INDETERMINATE:
-                            tallies[m].indeterminate += 1
-                        else:
-                            tallies[m].false += 1
-                    except Exception as exc:
-                        ok = False
-                        records.append(TrialRecord(entry.path, entry.kind, orientation, snr, m,
-                                                   expected.value, "error", "-", False, error=str(exc)))
+                    if ok:
+                        tallies[m].correct += 1
+                    elif decision is None or decision.polarity is Polarity.INDETERMINATE:
                         tallies[m].indeterminate += 1
+                    else:
+                        tallies[m].false += 1
                     outcomes.setdefault(m, []).append(ok)
-                    if per_snr is not None and snr is not None:
+                    if per_snr is not None:
                         bad, tot = snr_counts[m].get(snr, (0, 0))
                         snr_counts[m][snr] = (bad + (0 if ok else 1), tot + 1)
             for m, flags in outcomes.items():

@@ -25,8 +25,8 @@ other.
 
 The band-limited front end (default 60-1600 Hz) and the tract-removing
 flow approximation are what make the votes indifferent to the formant
-configuration and to broadband noise; the vote logic itself follows the
-envelope-peak/phase-crossing scheme.
+configuration and to broadband noise; the vote logic itself reads the
+analytic-signal phase at envelope peaks.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .dsp import analytic_signal, cosine_phase, hilbert_envelope
 from .epochs import ZffConfig, estimate_mean_pitch, extract_epochs, zff_filter
 from .reskew import LpConfig, glottal_flow_estimate
 from .types import (EnvelopeSeries, EpochList, InvalidInputError, PhaseSeries, Polarity,
-                    PolarityDecision, Signal)
+                    PolarityDecision, Signal, require_detectable)
 
 # LP order for the band-limited detector path: enough poles for the formants
 # inside the band plus its edges.  At high pitch the autocorrelation fit can
@@ -49,28 +49,23 @@ from .types import (EnvelopeSeries, EpochList, InvalidInputError, PhaseSeries, P
 # the votes right when that happens.
 HP_RESIDUAL_ORDER = 8
 
-VOTE_RULES = ("phase", "slope")
-
 
 @dataclass(frozen=True)
 class HpConfig:
     """Detector parameters.
 
-    ``slope_sign_for_positive`` is the calibrated vote sign whose majority
-    indicates positive polarity (see ``calibrate``); with the default
-    ``phase`` vote rule a vote is the sign of the cosine phase of the flow
-    approximation averaged from the selected peak over the next
-    ``phase_span_periods`` mean pitch periods, and votes weaker than
-    ``min_phase_magnitude`` abstain.  The ``slope`` rule votes with the
-    slope of the phase zero crossing nearest the peak instead.
+    Each selected peak votes with the sign of the cosine phase of the flow
+    approximation averaged from the peak over the next
+    ``phase_span_periods`` mean pitch periods; votes weaker than
+    ``min_phase_magnitude`` abstain.  ``vote_sign_for_positive`` is the
+    calibrated vote sign whose majority indicates positive polarity (see
+    ``calibrate``).
     """
 
     peak_search_ms: float = 10.0
-    zc_search_ms: float = 2.0
     min_votes: int = 3
     prominence_floor: float = 0.05
-    slope_sign_for_positive: int = -1
-    vote_rule: str = "phase"
+    vote_sign_for_positive: int = -1
     min_phase_magnitude: float = 0.25
     phase_span_periods: float = 0.125
     band_low_hz: float = 60.0
@@ -79,16 +74,12 @@ class HpConfig:
     def __post_init__(self):
         if not (0.5 <= self.peak_search_ms <= 20.0):
             raise InvalidInputError(f"peak_search_ms must lie in [0.5, 20], got {self.peak_search_ms}")
-        if not (0.5 <= self.zc_search_ms <= 10.0):
-            raise InvalidInputError(f"zc_search_ms must lie in [0.5, 10], got {self.zc_search_ms}")
         if self.min_votes < 1:
             raise InvalidInputError("min_votes must be positive")
         if not (0.0 <= self.prominence_floor <= 1.0):
             raise InvalidInputError("prominence_floor must lie in [0, 1]")
-        if self.slope_sign_for_positive not in (-1, 1):
-            raise InvalidInputError("slope_sign_for_positive must be +1 or -1")
-        if self.vote_rule not in VOTE_RULES:
-            raise InvalidInputError(f"vote_rule must be one of {VOTE_RULES}")
+        if self.vote_sign_for_positive not in (-1, 1):
+            raise InvalidInputError("vote_sign_for_positive must be +1 or -1")
         if not (0.0 <= self.min_phase_magnitude < 1.0):
             raise InvalidInputError("min_phase_magnitude must lie in [0, 1)")
         if not (0.0 <= self.phase_span_periods <= 0.5):
@@ -120,28 +111,6 @@ def select_he_peaks(env: EnvelopeSeries, epochs: EpochList, cfg: HpConfig | None
         if values[k] >= floor:
             picked.add(k)
     return np.asarray(sorted(picked), dtype=np.int64)
-
-
-def slope_sign_at_peak(phase: PhaseSeries, peak_idx: int, cfg: HpConfig | None = None) -> int:
-    """Sign of the phase slope across the zero crossing nearest the peak.
-
-    Returns +1 for a rising crossing, -1 for a falling one, 0 when no
-    crossing lies within +-zc_search_ms of the peak.
-    """
-    cfg = cfg or HpConfig()
-    v = phase.values
-    if not (0 <= peak_idx < v.size):
-        raise InvalidInputError(f"peak index {peak_idx} out of range")
-    half = int(round(cfg.zc_search_ms * phase.sample_rate_hz / 1000.0))
-    lo = max(0, peak_idx - half)
-    hi = min(v.size - 1, peak_idx + half)
-    seg = v[lo:hi + 1]
-    crossings = np.nonzero(seg[:-1] * seg[1:] < 0.0)[0]
-    if crossings.size == 0:
-        return 0
-    mids = lo + crossings + 0.5
-    k = crossings[int(np.argmin(np.abs(mids - peak_idx)))]
-    return int(np.sign(seg[k + 1] - seg[k]))
 
 
 def phase_sign_at_peak(phase: PhaseSeries, peak_idx: int, cfg: HpConfig | None = None,
@@ -185,26 +154,20 @@ def detect_polarity_hp(s: Signal, zcfg: ZffConfig | None = None, hcfg: HpConfig 
     zcfg = zcfg or ZffConfig()
     hcfg = hcfg or HpConfig()
     lcfg = lcfg or LpConfig(order=HP_RESIDUAL_ORDER)
-    if s.duration_s < 0.1:
-        raise InvalidInputError("polarity detection needs at least 100 ms of audio")
-    if s.sample_rate_hz < 1000:
-        raise InvalidInputError("polarity detection needs a sample rate of at least 1 kHz")
+    require_detectable(s)
 
     band = _band_limit(s, hcfg)
     pitch = estimate_mean_pitch(band, zcfg)
-    epochs = extract_epochs(zff_filter(band, zcfg), zcfg)
-    slope = Signal(np.gradient(band.samples), band.sample_rate_hz)
-    peaks = select_he_peaks(hilbert_envelope(analytic_signal(slope)), epochs, hcfg)
+    epochs = extract_epochs(zff_filter(band, zcfg, mean_pitch_hz=pitch), zcfg)
+    derivative = Signal(np.gradient(band.samples), band.sample_rate_hz)
+    peaks = select_he_peaks(hilbert_envelope(analytic_signal(derivative)), epochs, hcfg)
 
     positive = negative = 0
     if peaks.size:
         flow = glottal_flow_estimate(band, lcfg, mean_pitch_hz=pitch)
         phase = cosine_phase(analytic_signal(flow))
         for p in peaks:
-            if hcfg.vote_rule == "phase":
-                vote = phase_sign_at_peak(phase, int(p), hcfg, pitch)
-            else:
-                vote = slope_sign_at_peak(phase, int(p), hcfg)
+            vote = phase_sign_at_peak(phase, int(p), hcfg, pitch)
             if vote > 0:
                 positive += 1
             elif vote < 0:
@@ -215,6 +178,6 @@ def detect_polarity_hp(s: Signal, zcfg: ZffConfig | None = None, hcfg: HpConfig 
         polarity = Polarity.INDETERMINATE
     else:
         majority = 1 if positive > negative else -1
-        polarity = Polarity.POSITIVE if majority == hcfg.slope_sign_for_positive else Polarity.NEGATIVE
-    return PolarityDecision(polarity, positive_slope_votes=positive,
-                            negative_slope_votes=negative, anchors_used=int(peaks.size))
+        polarity = Polarity.POSITIVE if majority == hcfg.vote_sign_for_positive else Polarity.NEGATIVE
+    return PolarityDecision(polarity, positive_votes=positive, negative_votes=negative,
+                            anchors_used=int(peaks.size))

@@ -17,7 +17,8 @@ from scipy.signal import butter, filtfilt, lfilter
 
 from .epochs import ZffConfig, estimate_mean_pitch
 from .smoothing import centered_moving_average
-from .types import InvalidInputError, Polarity, PolarityDecision, Signal, UndefinedStatisticError
+from .types import (InvalidInputError, Polarity, PolarityDecision, Signal, UndefinedStatisticError,
+                    require_detectable)
 
 # |statistic| below this is treated as a tie.
 INDETERMINATE_BAND = 1e-6
@@ -208,10 +209,7 @@ def reskew_statistic(s: Signal, cfg: LpConfig | None = None,
 
 def detect_polarity_reskew(s: Signal, cfg: LpConfig | None = None) -> PolarityDecision:
     """Decide polarity from the sign of the glottal-skewness statistic."""
-    if s.duration_s < 0.1:
-        raise InvalidInputError("polarity detection needs at least 100 ms of audio")
-    if s.sample_rate_hz < 1000:
-        raise InvalidInputError("polarity detection needs a sample rate of at least 1 kHz")
+    require_detectable(s)
     try:
         delta = reskew_statistic(s, cfg)
     except UndefinedStatisticError:

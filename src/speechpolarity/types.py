@@ -79,6 +79,14 @@ class Signal:
         return Signal(factor * self.samples, self.sample_rate_hz)
 
 
+def require_detectable(s: Signal) -> None:
+    """Reject a signal too short or too coarsely sampled for either detector."""
+    if s.duration_s < 0.1:
+        raise InvalidInputError("polarity detection needs at least 100 ms of audio")
+    if s.sample_rate_hz < 1000:
+        raise InvalidInputError("polarity detection needs a sample rate of at least 1 kHz")
+
+
 @dataclass(frozen=True)
 class AnalyticSignal:
     """Real/imaginary pair; the real part is the source signal verbatim."""
@@ -166,19 +174,19 @@ class PolarityDecision:
     """
 
     polarity: Polarity
-    positive_slope_votes: int = 0
-    negative_slope_votes: int = 0
+    positive_votes: int = 0
+    negative_votes: int = 0
     anchors_used: int = 0
     statistic: float | None = None
 
     def __post_init__(self):
-        if self.positive_slope_votes < 0 or self.negative_slope_votes < 0 or self.anchors_used < 0:
+        if self.positive_votes < 0 or self.negative_votes < 0 or self.anchors_used < 0:
             raise InvalidInputError("vote counts must be non-negative")
-        if self.positive_slope_votes + self.negative_slope_votes > self.anchors_used and self.statistic is None:
+        if self.positive_votes + self.negative_votes > self.anchors_used and self.statistic is None:
             raise InvalidInputError("vote counts cannot exceed the number of anchors")
 
     def evidence(self) -> str:
         if self.statistic is not None:
             return f"statistic={self.statistic:+.6g}"
-        return (f"votes +{self.positive_slope_votes}/-{self.negative_slope_votes}"
+        return (f"votes +{self.positive_votes}/-{self.negative_votes}"
                 f" anchors={self.anchors_used}")

@@ -119,8 +119,8 @@ class TestA2DecisionAntisymmetry:
             d_neg = detect_polarity_hp(s.negated())
             if d_pos.polarity is not Polarity.INDETERMINATE:
                 flip_ok = (d_neg.polarity is d_pos.polarity.flipped()
-                           and d_pos.positive_slope_votes == d_neg.negative_slope_votes
-                           and d_pos.negative_slope_votes == d_neg.positive_slope_votes)
+                           and d_pos.positive_votes == d_neg.negative_votes
+                           and d_pos.negative_votes == d_neg.positive_votes)
                 if not flip_ok:
                     hp_failures += 1
             try:

@@ -6,7 +6,7 @@ from speechpolarity.reskew import STATISTIC_SIGN_FOR_POSITIVE
 
 def test_calibration_matches_shipped_defaults():
     result = calibrate()
-    assert result.slope_sign_for_positive == HpConfig().slope_sign_for_positive
+    assert result.vote_sign_for_positive == HpConfig().vote_sign_for_positive
     assert result.reskew_sign_for_positive == STATISTIC_SIGN_FOR_POSITIVE
 
 

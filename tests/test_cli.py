@@ -52,13 +52,21 @@ class TestDetect:
         wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
         cfg = tmp_path / "conf.txt"
         # flipping the calibrated sign must flip the reported decision
-        cfg.write_text("hp.slope_sign_for_positive = 1\n", encoding="utf-8")
+        cfg.write_text("hp.vote_sign_for_positive = 1\n", encoding="utf-8")
         assert main(["detect", str(wav), "--method", "hp", "--config", str(cfg)]) == 1
 
     def test_bad_config_data_error(self, tmp_path):
         wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
         cfg = tmp_path / "conf.txt"
         cfg.write_text("hp.not_a_field = 1\n", encoding="utf-8")
+        assert main(["detect", str(wav), "--config", str(cfg)]) == 65
+
+    @pytest.mark.parametrize("line", ["zff.trend_passes = 2.5", "lp.order = 8.5",
+                                      "hp.min_votes = 2.5"])
+    def test_non_integer_config_data_error(self, tmp_path, line):
+        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(line + "\n", encoding="utf-8")
         assert main(["detect", str(wav), "--config", str(cfg)]) == 65
 
 
@@ -129,5 +137,5 @@ class TestCalibrate:
     def test_reports_shipped_conventions(self, capsys):
         assert main(["calibrate"]) == 0
         out = capsys.readouterr().out
-        assert "slope_sign_for_positive = -1" in out
+        assert "vote_sign_for_positive = -1" in out
         assert "reskew statistic sign for positive = +1" in out

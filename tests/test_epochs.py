@@ -69,6 +69,21 @@ class TestZffFilter:
         with pytest.raises(InvalidInputError):
             zff_filter(Signal(np.ones(64), FS), ZffConfig(trend_window_ms=25.0))
 
+    def test_supplied_pitch_matches_own_estimate(self):
+        s = utterance(180.0, seed=11)
+        cfg = ZffConfig()
+        own = zff_filter(s, cfg).samples
+        handed = zff_filter(s, cfg, mean_pitch_hz=estimate_mean_pitch(s, cfg)).samples
+        assert np.array_equal(handed, own)
+
+    def test_explicit_window_overrides_supplied_pitch(self):
+        s = utterance(120.0, seed=12)
+        fixed = ZffConfig(trend_window_ms=8.0)
+        assert np.array_equal(zff_filter(s, fixed, mean_pitch_hz=300.0).samples,
+                              zff_filter(s, fixed).samples)
+        assert not np.array_equal(zff_filter(s, mean_pitch_hz=300.0).samples,
+                                  zff_filter(s).samples)
+
     def test_explicit_window_validation(self):
         with pytest.raises(InvalidInputError):
             ZffConfig(trend_window_ms=0.2)

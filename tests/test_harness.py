@@ -134,6 +134,17 @@ class TestEvaluateCorpus:
         assert report.per_method["hp"].indeterminate == 2
         assert all(r.error for r in report.per_file)
 
+    def test_missing_file_under_noise_sweep(self, tmp_path):
+        manifest = CorpusManifest("broken", (
+            ManifestEntry(str(tmp_path / "ghost.wav"), Polarity.POSITIVE, "speech"),))
+        sweep = [NoiseSpec("white", 30.0, seed=5), NoiseSpec("white", 10.0, seed=5)]
+        report = evaluate_corpus(manifest, methods=("hp", "reskew"), noise_sweep=sweep)
+        for m in ("hp", "reskew"):
+            assert report.per_method[m].indeterminate == 4  # 2 levels x 2 orientations
+            assert report.per_snr[m] == {10.0: 1.0, 30.0: 1.0}
+        assert len(report.per_file) == 8
+        assert all(r.decision == "error" and r.error for r in report.per_file)
+
     def test_noise_sweep_populates_per_snr(self, tmp_path):
         manifest = make_corpus(tmp_path, [("pos1", 100.0, Polarity.POSITIVE, "speech")])
         sweep = [NoiseSpec("white", 30.0, seed=5), NoiseSpec("white", 10.0, seed=5)]

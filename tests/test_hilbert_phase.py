@@ -8,7 +8,7 @@ from speechpolarity import (EnvelopeSeries, EpochList, HpConfig, InvalidInputErr
                             analytic_signal, detect_polarity_hp, extract_epochs,
                             generate_utterance, generate_utterance_with_instants,
                             hilbert_envelope, phase_sign_at_peak, select_he_peaks,
-                            slope_sign_at_peak, zff_filter)
+                            zff_filter)
 
 FS = 16000
 
@@ -61,28 +61,6 @@ class TestSelectHePeaks:
 
 
 class TestVoteReads:
-    def test_falling_crossing(self):
-        values = np.zeros(64)
-        values[:30] = 0.4
-        values[30] = 0.1
-        values[31:] = -0.2
-        phase = PhaseSeries(values, FS)
-        assert slope_sign_at_peak(phase, 30) == -1
-
-    def test_negation_flips_slope(self):
-        rng = np.random.default_rng(23)
-        values = np.clip(rng.standard_normal(512) * 0.4, -1, 1)
-        phase = PhaseSeries(values, FS)
-        flipped = PhaseSeries(-values, FS)
-        for idx in (100, 200, 300, 400):
-            a = slope_sign_at_peak(phase, idx)
-            b = slope_sign_at_peak(flipped, idx)
-            assert b == -a
-
-    def test_no_crossing_gives_zero(self):
-        phase = PhaseSeries(np.full(128, 0.8), FS)
-        assert slope_sign_at_peak(phase, 64) == 0
-
     def test_phase_sign_read(self):
         # plateaus wider than the averaging window around each read point
         values = np.zeros(200)
@@ -105,7 +83,7 @@ class TestVoteReads:
     def test_out_of_range_peak(self):
         phase = PhaseSeries(np.zeros(16), FS)
         with pytest.raises(InvalidInputError):
-            slope_sign_at_peak(phase, 99)
+            phase_sign_at_peak(phase, 99)
 
 
 class TestDetector:
@@ -123,8 +101,8 @@ class TestDetector:
             d_pos = detect_polarity_hp(s)
             d_neg = detect_polarity_hp(s.negated())
             assert d_pos.polarity is d_neg.polarity.flipped()
-            assert d_pos.positive_slope_votes == d_neg.negative_slope_votes
-            assert d_pos.negative_slope_votes == d_neg.positive_slope_votes
+            assert d_pos.positive_votes == d_neg.negative_votes
+            assert d_pos.negative_votes == d_neg.positive_votes
             assert d_pos.anchors_used == d_neg.anchors_used
 
     def test_scale_invariance(self):
@@ -133,12 +111,12 @@ class TestDetector:
         for alpha in (1e-3, 0.5, 10.0):
             d = detect_polarity_hp(s.scaled(alpha))
             assert d.polarity is base.polarity
-            assert d.positive_slope_votes == base.positive_slope_votes
-            assert d.negative_slope_votes == base.negative_slope_votes
+            assert d.positive_votes == base.positive_votes
+            assert d.negative_votes == base.negative_votes
 
     def test_vote_accounting(self):
         d = detect_polarity_hp(utterance(seed=29))
-        assert d.positive_slope_votes + d.negative_slope_votes <= d.anchors_used
+        assert d.positive_votes + d.negative_votes <= d.anchors_used
         assert d.anchors_used > 0
 
     def test_silence_is_indeterminate(self):
@@ -154,10 +132,6 @@ class TestDetector:
         with pytest.raises(InvalidInputError):
             detect_polarity_hp(Signal(np.ones(200), 500))
 
-    def test_slope_vote_rule_runs(self):
-        d = detect_polarity_hp(utterance(seed=30), hcfg=HpConfig(vote_rule="slope"))
-        assert d.polarity in (Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.INDETERMINATE)
-
     def test_determinism(self):
         s = utterance(seed=31)
         a = detect_polarity_hp(s)
@@ -168,9 +142,7 @@ class TestDetector:
         with pytest.raises(InvalidInputError):
             HpConfig(peak_search_ms=100.0)
         with pytest.raises(InvalidInputError):
-            HpConfig(slope_sign_for_positive=0)
-        with pytest.raises(InvalidInputError):
-            HpConfig(vote_rule="nearest")
+            HpConfig(vote_sign_for_positive=0)
 
 
 # The acceptance corpus's formant sets for the two cells where F1 sits on a
@@ -222,10 +194,10 @@ class TestFormantOnLowHarmonic:
             base = detect_polarity_hp(s)
             neg = detect_polarity_hp(s.negated())
             assert neg.polarity is base.polarity.flipped()
-            assert (neg.positive_slope_votes, neg.negative_slope_votes) == \
-                (base.negative_slope_votes, base.positive_slope_votes)
+            assert (neg.positive_votes, neg.negative_votes) == \
+                (base.negative_votes, base.positive_votes)
             for alpha in (1e-3, 10.0):
                 d = detect_polarity_hp(s.scaled(alpha))
                 assert d.polarity is base.polarity
-                assert (d.positive_slope_votes, d.negative_slope_votes) == \
-                    (base.positive_slope_votes, base.negative_slope_votes)
+                assert (d.positive_votes, d.negative_votes) == \
+                    (base.positive_votes, base.negative_votes)
