@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hilbert_phase import HpConfig, detect_polarity_hp
+from .hilbert_phase import detect_polarity_hp
 from .reskew import reskew_statistic
 from .synth import SynthSpec, generate_utterance
 from .types import Polarity
@@ -46,10 +46,9 @@ def calibrate(seed: int = 20240101) -> CalibrationResult:
     """Determine the vote sign and statistic sign that indicate positive polarity."""
     vote_signs = []
     stat_signs = []
-    probe = HpConfig()  # defaults carry the shipped convention; majority is re-derived below
     for spec in _battery(seed):
         s = generate_utterance(spec)
-        decision = detect_polarity_hp(s, hcfg=probe)
+        decision = detect_polarity_hp(s)
         if decision.positive_votes != decision.negative_votes:
             vote_signs.append(1 if decision.positive_votes > decision.negative_votes else -1)
         stat = reskew_statistic(s)

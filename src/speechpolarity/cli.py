@@ -29,7 +29,14 @@ _DECISION_EXIT = {Polarity.POSITIVE: 0, Polarity.NEGATIVE: 1, Polarity.INDETERMI
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit(EX_USAGE)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _snr_levels(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated dB values, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--manifest", required=True)
     p_eval.add_argument("--methods", default=",".join(METHODS),
                         help=f"comma-separated subset of {','.join(METHODS)}")
-    p_eval.add_argument("--snr", help="comma-separated SNR levels in dB for a noise sweep")
+    p_eval.add_argument("--snr", type=_snr_levels,
+                        help="comma-separated SNR levels in dB for a noise sweep")
     p_eval.add_argument("--noise", default="white", help="white, pink, or file:<path>")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out", help="write report to .csv or .json (default: table to stdout)")
@@ -105,8 +113,7 @@ def _cmd_eval(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     sweep = None
     if args.snr:
-        levels = [float(v) for v in args.snr.split(",") if v.strip()]
-        sweep = [_parse_noise(args.noise, snr, args.seed) for snr in levels]
+        sweep = [_parse_noise(args.noise, snr, args.seed) for snr in args.snr]
     report = evaluate_corpus(manifest, methods=methods, noise_sweep=sweep,
                              zcfg=zcfg, hcfg=hcfg, lcfg=lcfg)
     if args.out:

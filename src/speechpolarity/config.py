@@ -29,9 +29,7 @@ def _coerce(cls, name: str, raw: str):
         value = float(text)
     except ValueError:
         raise InvalidInputError(f"cannot parse {raw!r} as a number for {name}") from None
-    if declared is int or int in get_args(declared):
-        if not value.is_integer():
-            raise InvalidInputError(f"{name} must be an integer, got {text!r}")
+    if (declared is int or int in get_args(declared)) and value.is_integer():
         return int(value)
     return value
 

@@ -10,6 +10,7 @@ for a signal and its negation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -44,8 +45,8 @@ class ZffConfig:
         if self.trend_window_ms is not None and not (1.0 <= self.trend_window_ms <= 50.0):
             raise InvalidInputError(
                 f"trend_window_ms must lie in [1, 50] ms, got {self.trend_window_ms}")
-        if not (1 <= self.trend_passes <= 5):
-            raise InvalidInputError(f"trend_passes must lie in [1, 5], got {self.trend_passes}")
+        if not (isinstance(self.trend_passes, Integral) and 1 <= self.trend_passes <= 5):
+            raise InvalidInputError(f"trend_passes must be an integer in [1, 5], got {self.trend_passes}")
         if self.mean_pitch_fallback_hz <= 0:
             raise InvalidInputError("mean_pitch_fallback_hz must be positive")
 
@@ -143,7 +144,7 @@ def zff_filter(s: Signal, cfg: ZffConfig | None = None,
     return Signal(y, fs)
 
 
-def extract_epochs(y: Signal, cfg: ZffConfig | None = None) -> EpochList:
+def extract_epochs(y: Signal) -> EpochList:
     """All zero crossings of a ZFF output, refined to the sample nearest zero.
 
     Crossings within 1 ms of an already accepted crossing, or within
@@ -151,7 +152,6 @@ def extract_epochs(y: Signal, cfg: ZffConfig | None = None) -> EpochList:
     falling crossings are both kept, which makes the result identical for
     ``y`` and ``-y``.
     """
-    cfg = cfg or ZffConfig()
     v = y.samples
     fs = y.sample_rate_hz
     prod = v[:-1] * v[1:]

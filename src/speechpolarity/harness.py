@@ -171,7 +171,7 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS),
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r}; expected subset of {tuple(METHODS)}")
-    if manifest is not None and not manifest.entries and methods:
+    if not manifest.entries and methods:
         raise InvalidInputError("manifest is empty")
 
     levels: list[NoiseSpec | None] = [None] if not noise_sweep else list(noise_sweep)
@@ -189,17 +189,20 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS),
 
         for level_idx, level in enumerate(levels):
             snr = level.snr_db if level else None
-            base = clean
+            base, base_error = clean, load_error
             if clean is not None and level is not None:
                 seed = int(np.random.SeedSequence((level.seed, file_idx, level_idx)).generate_state(1)[0])
-                base = mix_noise(clean, NoiseSpec(level.kind, level.snr_db, seed=seed, path=level.path))
+                try:
+                    base = mix_noise(clean, NoiseSpec(level.kind, level.snr_db, seed=seed, path=level.path))
+                except InvalidInputError as exc:  # e.g. a silent file; recorded, not raised
+                    base, base_error = None, str(exc)
             outcomes = {}
             for orientation, sig, expected in (
                     ("original", base, entry.true_polarity),
                     ("negated", None if base is None else base.negated(),
                      entry.true_polarity.flipped())):
                 for m in methods:
-                    decision, error = None, load_error
+                    decision, error = None, base_error
                     if sig is not None:
                         try:
                             decision = METHODS[m](sig, zcfg, hcfg, lcfg)

@@ -32,6 +32,7 @@ analytic-signal phase at envelope peaks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.signal import butter, filtfilt
@@ -49,6 +50,9 @@ from .types import (EnvelopeSeries, EpochList, InvalidInputError, PhaseSeries, P
 # the votes right when that happens.
 HP_RESIDUAL_ORDER = 8
 
+# Calibrated on the synthetic oracle: a negative vote majority => positive polarity.
+VOTE_SIGN_FOR_POSITIVE = -1
+
 
 @dataclass(frozen=True)
 class HpConfig:
@@ -57,15 +61,14 @@ class HpConfig:
     Each selected peak votes with the sign of the cosine phase of the flow
     approximation averaged from the peak over the next
     ``phase_span_periods`` mean pitch periods; votes weaker than
-    ``min_phase_magnitude`` abstain.  ``vote_sign_for_positive`` is the
-    calibrated vote sign whose majority indicates positive polarity (see
+    ``min_phase_magnitude`` abstain.  The vote majority maps onto a polarity
+    through the module constant ``VOTE_SIGN_FOR_POSITIVE`` (see
     ``calibrate``).
     """
 
     peak_search_ms: float = 10.0
     min_votes: int = 3
     prominence_floor: float = 0.05
-    vote_sign_for_positive: int = -1
     min_phase_magnitude: float = 0.25
     phase_span_periods: float = 0.125
     band_low_hz: float = 60.0
@@ -74,12 +77,10 @@ class HpConfig:
     def __post_init__(self):
         if not (0.5 <= self.peak_search_ms <= 20.0):
             raise InvalidInputError(f"peak_search_ms must lie in [0.5, 20], got {self.peak_search_ms}")
-        if self.min_votes < 1:
-            raise InvalidInputError("min_votes must be positive")
+        if not (isinstance(self.min_votes, Integral) and self.min_votes >= 1):
+            raise InvalidInputError(f"min_votes must be a positive integer, got {self.min_votes}")
         if not (0.0 <= self.prominence_floor <= 1.0):
             raise InvalidInputError("prominence_floor must lie in [0, 1]")
-        if self.vote_sign_for_positive not in (-1, 1):
-            raise InvalidInputError("vote_sign_for_positive must be +1 or -1")
         if not (0.0 <= self.min_phase_magnitude < 1.0):
             raise InvalidInputError("min_phase_magnitude must lie in [0, 1)")
         if not (0.0 <= self.phase_span_periods <= 0.5):
@@ -148,23 +149,22 @@ def _band_limit(s: Signal, cfg: HpConfig) -> Signal:
     return Signal(filtfilt(b, a, s.samples), s.sample_rate_hz)
 
 
-def detect_polarity_hp(s: Signal, zcfg: ZffConfig | None = None, hcfg: HpConfig | None = None,
-                       lcfg: LpConfig | None = None) -> PolarityDecision:
+def detect_polarity_hp(s: Signal, zcfg: ZffConfig | None = None,
+                       hcfg: HpConfig | None = None) -> PolarityDecision:
     """Vote-based polarity decision; see the module docstring for the pipeline."""
     zcfg = zcfg or ZffConfig()
     hcfg = hcfg or HpConfig()
-    lcfg = lcfg or LpConfig(order=HP_RESIDUAL_ORDER)
     require_detectable(s)
 
     band = _band_limit(s, hcfg)
     pitch = estimate_mean_pitch(band, zcfg)
-    epochs = extract_epochs(zff_filter(band, zcfg, mean_pitch_hz=pitch), zcfg)
+    epochs = extract_epochs(zff_filter(band, zcfg, mean_pitch_hz=pitch))
     derivative = Signal(np.gradient(band.samples), band.sample_rate_hz)
     peaks = select_he_peaks(hilbert_envelope(analytic_signal(derivative)), epochs, hcfg)
 
     positive = negative = 0
     if peaks.size:
-        flow = glottal_flow_estimate(band, lcfg, mean_pitch_hz=pitch)
+        flow = glottal_flow_estimate(band, LpConfig(order=HP_RESIDUAL_ORDER), mean_pitch_hz=pitch)
         phase = cosine_phase(analytic_signal(flow))
         for p in peaks:
             vote = phase_sign_at_peak(phase, int(p), hcfg, pitch)
@@ -178,6 +178,6 @@ def detect_polarity_hp(s: Signal, zcfg: ZffConfig | None = None, hcfg: HpConfig 
         polarity = Polarity.INDETERMINATE
     else:
         majority = 1 if positive > negative else -1
-        polarity = Polarity.POSITIVE if majority == hcfg.vote_sign_for_positive else Polarity.NEGATIVE
+        polarity = Polarity.POSITIVE if majority == VOTE_SIGN_FOR_POSITIVE else Polarity.NEGATIVE
     return PolarityDecision(polarity, positive_votes=positive, negative_votes=negative,
                             anchors_used=int(peaks.size))

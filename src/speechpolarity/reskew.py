@@ -11,6 +11,7 @@ confuses waveform-level statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.signal import butter, filtfilt, lfilter
@@ -32,27 +33,23 @@ class LpConfig:
     """Linear-prediction and glottal-approximation parameters.
 
     ``order = None`` resolves to round(fs/1000) + 2, clamped to [4, 40].
-    ``integrator_pole = None`` ties the leaky-integration time constant to
-    ``integration_periods`` mean pitch periods; an explicit pole must lie in
-    (0.9, 1.0).
+    The leaky-integration time constant is ``integration_periods`` mean
+    pitch periods.  ``detect_polarity_hp`` takes no LpConfig: it uses
+    ``order = HP_RESIDUAL_ORDER`` (8) with the other fields at their defaults.
     """
 
     order: int | None = None
     frame_ms: float = 25.0
     hop_ms: float = 5.0
-    integrator_pole: float | None = None
     residual_smooth_hz: float = 800.0
     integration_periods: float = 2.0
     detrend_periods: float = 1.2
 
     def __post_init__(self):
-        if self.order is not None and not (4 <= self.order <= 40):
-            raise InvalidInputError(f"order must lie in [4, 40], got {self.order}")
+        if self.order is not None and not (isinstance(self.order, Integral) and 4 <= self.order <= 40):
+            raise InvalidInputError(f"order must be an integer in [4, 40], got {self.order}")
         if not (0 < self.hop_ms <= self.frame_ms):
             raise InvalidInputError("hop_ms must lie in (0, frame_ms]")
-        if self.integrator_pole is not None and not (0.9 < self.integrator_pole < 1.0):
-            raise InvalidInputError(
-                f"integrator_pole must lie in (0.9, 1.0), got {self.integrator_pole}")
         if self.residual_smooth_hz <= 0:
             raise InvalidInputError("residual_smooth_hz must be positive")
 
@@ -126,15 +123,12 @@ def lp_residual(s: Signal, cfg: LpConfig | None = None) -> Signal:
     for k in range(order + 1):
         lags[:, k] = np.einsum("fj,fj->f", windowed[:, :frame - k], windowed[:, k:])
 
-    live = lags[:, 0] > 0.0
     coeffs, _, ok = levinson(lags)
     # forward-fill broken frames with the previous healthy frame's coefficients
     identity = np.zeros(order + 1)
     identity[0] = 1.0
     prev = identity
     for f in range(len(starts)):
-        if not live[f]:
-            continue
         if ok[f]:
             prev = coeffs[f]
         else:
@@ -143,10 +137,7 @@ def lp_residual(s: Signal, cfg: LpConfig | None = None) -> Signal:
     out = np.zeros(x.size)
     weight = np.zeros(x.size)
     for f, k in enumerate(starts):
-        if live[f]:
-            res = lfilter(coeffs[f], [1.0], frames[f])
-        else:
-            res = np.zeros(frame)
+        res = lfilter(coeffs[f], [1.0], frames[f])
         out[k:k + frame] += res * window
         weight[k:k + frame] += window
     weight[weight == 0.0] = 1.0
@@ -163,7 +154,10 @@ def skewness(x) -> float:
     d = arr - arr.mean()
     m2 = np.mean(d * d)
     m3 = np.mean(d * d * d)
-    return float(m3 / m2 ** 1.5)
+    denom = m2 ** 1.5
+    if not (0.0 < denom < np.inf and np.isfinite(m3)):
+        raise UndefinedStatisticError("skewness is undefined: the moments under- or overflow")
+    return float(m3 / denom)
 
 
 def glottal_flow_estimate(s: Signal, cfg: LpConfig | None = None,
@@ -187,23 +181,19 @@ def glottal_flow_estimate(s: Signal, cfg: LpConfig | None = None,
     b, a = butter(4, cutoff / nyq, btype="low")
     smooth = filtfilt(b, a, e)
 
-    if cfg.integrator_pole is not None:
-        pole = cfg.integrator_pole
-    else:
-        tau = cfg.integration_periods * fs / mean_pitch_hz
-        pole = float(np.exp(-1.0 / tau))
+    tau = cfg.integration_periods * fs / mean_pitch_hz
+    pole = float(np.exp(-1.0 / tau))
     g = lfilter([1.0], [1.0, -pole], smooth)
     g = g - centered_moving_average(g, int(round(cfg.detrend_periods * fs / mean_pitch_hz)))
     return Signal(g, fs)
 
 
-def reskew_statistic(s: Signal, cfg: LpConfig | None = None,
-                     mean_pitch_hz: float | None = None) -> float:
+def reskew_statistic(s: Signal, cfg: LpConfig | None = None) -> float:
     """Skewness of the glottal-flow approximation; positive for positive polarity.
 
     Odd under sample negation and invariant under positive rescaling.
     """
-    g = glottal_flow_estimate(s, cfg, mean_pitch_hz)
+    g = glottal_flow_estimate(s, cfg)
     return skewness(g.samples)
 
 

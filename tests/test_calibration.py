@@ -1,12 +1,13 @@
 """The sign-convention calibration must reproduce the shipped defaults."""
 
-from speechpolarity import HpConfig, calibrate
+from speechpolarity import calibrate
+from speechpolarity.hilbert_phase import VOTE_SIGN_FOR_POSITIVE
 from speechpolarity.reskew import STATISTIC_SIGN_FOR_POSITIVE
 
 
 def test_calibration_matches_shipped_defaults():
     result = calibrate()
-    assert result.vote_sign_for_positive == HpConfig().vote_sign_for_positive
+    assert result.vote_sign_for_positive == VOTE_SIGN_FOR_POSITIVE
     assert result.reskew_sign_for_positive == STATISTIC_SIGN_FOR_POSITIVE
 
 

@@ -51,9 +51,9 @@ class TestDetect:
     def test_config_override(self, tmp_path):
         wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
         cfg = tmp_path / "conf.txt"
-        # flipping the calibrated sign must flip the reported decision
-        cfg.write_text("hp.vote_sign_for_positive = 1\n", encoding="utf-8")
-        assert main(["detect", str(wav), "--method", "hp", "--config", str(cfg)]) == 1
+        # more votes than a 0.6 s utterance has anchors: the decision must abstain
+        cfg.write_text("hp.min_votes = 1000\n", encoding="utf-8")
+        assert main(["detect", str(wav), "--method", "hp", "--config", str(cfg)]) == 2
 
     def test_bad_config_data_error(self, tmp_path):
         wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
@@ -124,6 +124,14 @@ class TestEval:
 
     def test_missing_manifest_io_error(self, tmp_path):
         assert main(["eval", "--manifest", str(tmp_path / "ghost.txt")]) == 74
+
+    def test_non_numeric_snr_usage_error(self, tmp_path, capsys):
+        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{wav.name},positive,speech\n", encoding="utf-8")
+        assert main(["eval", "--manifest", str(manifest), "--snr", "abc"]) == 64
+        err = capsys.readouterr().err
+        assert "--snr" in err and "Traceback" not in err
 
     def test_bad_out_extension(self, tmp_path):
         wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)

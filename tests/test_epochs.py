@@ -89,6 +89,8 @@ class TestZffFilter:
             ZffConfig(trend_window_ms=0.2)
         with pytest.raises(InvalidInputError):
             ZffConfig(trend_passes=9)
+        with pytest.raises(InvalidInputError):
+            ZffConfig(trend_passes=2.5)
 
 
 class TestExtractEpochs:

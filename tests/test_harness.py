@@ -145,6 +145,17 @@ class TestEvaluateCorpus:
         assert len(report.per_file) == 8
         assert all(r.decision == "error" and r.error for r in report.per_file)
 
+    def test_silent_file_under_noise_sweep(self, tmp_path):
+        path = tmp_path / "silence.wav"
+        wavfile.write(path, FS, np.zeros(FS, dtype=np.int16))
+        manifest = CorpusManifest("silent", (ManifestEntry(str(path), Polarity.POSITIVE, "speech"),))
+        report = evaluate_corpus(manifest, methods=("hp", "reskew"),
+                                 noise_sweep=[NoiseSpec("white", 10.0, seed=1)])
+        for m in ("hp", "reskew"):
+            assert report.per_method[m].indeterminate == 2
+            assert report.per_snr[m] == {10.0: 1.0}
+        assert all(r.decision == "error" and r.error for r in report.per_file)
+
     def test_noise_sweep_populates_per_snr(self, tmp_path):
         manifest = make_corpus(tmp_path, [("pos1", 100.0, Polarity.POSITIVE, "speech")])
         sweep = [NoiseSpec("white", 30.0, seed=5), NoiseSpec("white", 10.0, seed=5)]

@@ -142,7 +142,7 @@ class TestDetector:
         with pytest.raises(InvalidInputError):
             HpConfig(peak_search_ms=100.0)
         with pytest.raises(InvalidInputError):
-            HpConfig(vote_sign_for_positive=0)
+            HpConfig(min_votes=2.5)
 
 
 # The acceptance corpus's formant sets for the two cells where F1 sits on a
