@@ -165,7 +165,8 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS),
     repeated per SNR level with a noise realization seeded deterministically
     from (spec seed, file index, level index).  Per-file failures are
     recorded with an error marker and counted as indeterminate; the batch
-    never aborts.
+    never aborts on a file.  A noise file that cannot be read or has zero
+    energy raises before any file is scored.
     """
     methods = tuple(m for m in methods if m)
     for m in methods:
@@ -175,6 +176,11 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS),
         raise InvalidInputError("manifest is empty")
 
     levels: list[NoiseSpec | None] = [None] if not noise_sweep else list(noise_sweep)
+    for level in levels:
+        if level is not None and level.kind == "file":
+            noise = load_wav(level.path).samples
+            if float(np.dot(noise, noise)) <= 0.0:
+                raise InvalidInputError(f"{level.path}: noise source has zero energy")
     tallies = {m: MethodTally() for m in methods}
     per_snr: dict = {m: {} for m in methods} if noise_sweep else None
     snr_counts = {m: {} for m in methods}

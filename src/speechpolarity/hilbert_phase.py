@@ -41,7 +41,7 @@ from .dsp import analytic_signal, cosine_phase, hilbert_envelope
 from .epochs import ZffConfig, estimate_mean_pitch, extract_epochs, zff_filter
 from .reskew import LpConfig, glottal_flow_estimate
 from .types import (EnvelopeSeries, EpochList, InvalidInputError, PhaseSeries, Polarity,
-                    PolarityDecision, Signal, require_detectable)
+                    PolarityDecision, Signal, detector_input)
 
 # LP order for the band-limited detector path: enough poles for the formants
 # inside the band plus its edges.  At high pitch the autocorrelation fit can
@@ -154,7 +154,7 @@ def detect_polarity_hp(s: Signal, zcfg: ZffConfig | None = None,
     """Vote-based polarity decision; see the module docstring for the pipeline."""
     zcfg = zcfg or ZffConfig()
     hcfg = hcfg or HpConfig()
-    require_detectable(s)
+    s = detector_input(s)
 
     band = _band_limit(s, hcfg)
     pitch = estimate_mean_pitch(band, zcfg)

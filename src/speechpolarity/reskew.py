@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, filtfilt, lfilter
 
 from .epochs import ZffConfig, estimate_mean_pitch
 from .smoothing import centered_moving_average
 from .types import (InvalidInputError, Polarity, PolarityDecision, Signal, UndefinedStatisticError,
-                    require_detectable)
+                    detector_input)
 
 # |statistic| below this is treated as a tie.
 INDETERMINATE_BAND = 1e-6
@@ -98,8 +99,14 @@ def lp_residual(s: Signal, cfg: LpConfig | None = None) -> Signal:
     Coefficients come from Hamming-windowed frames; the un-windowed frame
     samples are inverse-filtered and recombined by overlap-add with the same
     window as weight, normalized so every sample has total weight one.
+    The filtered frames are strided views of the signal, not copies; only
+    the windowed frames behind the lags are copied, and they are freed once
+    the lags are computed.  Each frame's FIR runs through ``np.convolve``,
+    the same arithmetic as ``lfilter``'s FIR path, so the residual matches a
+    per-frame ``lfilter`` loop bit for bit.
     Zero-energy frames contribute a zero residual; a frame whose Levinson
-    recursion breaks down falls back to the previous frame's coefficients.
+    recursion breaks down falls back to the previous healthy frame's
+    coefficients, or to the identity filter before the first healthy frame.
     """
     cfg = cfg or LpConfig()
     fs = s.sample_rate_hz
@@ -117,27 +124,25 @@ def lp_residual(s: Signal, cfg: LpConfig | None = None) -> Signal:
     starts = np.asarray(starts)
     window = np.hamming(frame)
 
-    frames = np.stack([x[k:k + frame] for k in starts])
-    windowed = frames * window
+    frames = sliding_window_view(x, frame)
+    windowed = frames[starts]
+    windowed *= window
     lags = np.empty((len(starts), order + 1))
     for k in range(order + 1):
         lags[:, k] = np.einsum("fj,fj->f", windowed[:, :frame - k], windowed[:, k:])
+    del windowed
 
     coeffs, _, ok = levinson(lags)
-    # forward-fill broken frames with the previous healthy frame's coefficients
-    identity = np.zeros(order + 1)
-    identity[0] = 1.0
-    prev = identity
-    for f in range(len(starts)):
-        if ok[f]:
-            prev = coeffs[f]
-        else:
-            coeffs[f] = prev
+    # row 0 is the identity filter; each frame takes the row of its last healthy frame
+    identity = np.zeros((1, order + 1))
+    identity[0, 0] = 1.0
+    last_ok = np.maximum.accumulate(np.where(ok, np.arange(1, len(starts) + 1), 0))
+    coeffs = np.concatenate([identity, coeffs])[last_ok]
 
     out = np.zeros(x.size)
     weight = np.zeros(x.size)
     for f, k in enumerate(starts):
-        res = lfilter(coeffs[f], [1.0], frames[f])
+        res = np.convolve(coeffs[f], frames[k])[:frame]
         out[k:k + frame] += res * window
         weight[k:k + frame] += window
     weight[weight == 0.0] = 1.0
@@ -199,7 +204,7 @@ def reskew_statistic(s: Signal, cfg: LpConfig | None = None) -> float:
 
 def detect_polarity_reskew(s: Signal, cfg: LpConfig | None = None) -> PolarityDecision:
     """Decide polarity from the sign of the glottal-skewness statistic."""
-    require_detectable(s)
+    s = detector_input(s)
     try:
         delta = reskew_statistic(s, cfg)
     except UndefinedStatisticError:

@@ -156,6 +156,14 @@ class TestEvaluateCorpus:
             assert report.per_snr[m] == {10.0: 1.0}
         assert all(r.decision == "error" and r.error for r in report.per_file)
 
+    def test_silent_noise_file_rejected(self, tmp_path):
+        noise = tmp_path / "silent-noise.wav"
+        wavfile.write(noise, FS, np.zeros(FS, dtype=np.int16))
+        manifest = make_corpus(tmp_path, [("pos1", 100.0, Polarity.POSITIVE, "speech")])
+        with pytest.raises(InvalidInputError, match="zero energy"):
+            evaluate_corpus(manifest, methods=("hp",),
+                            noise_sweep=[NoiseSpec("file", 10.0, seed=1, path=str(noise))])
+
     def test_noise_sweep_populates_per_snr(self, tmp_path):
         manifest = make_corpus(tmp_path, [("pos1", 100.0, Polarity.POSITIVE, "speech")])
         sweep = [NoiseSpec("white", 30.0, seed=5), NoiseSpec("white", 10.0, seed=5)]

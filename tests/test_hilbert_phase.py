@@ -114,6 +114,13 @@ class TestDetector:
             assert d.positive_votes == base.positive_votes
             assert d.negative_votes == base.negative_votes
 
+    def test_extreme_scales_never_confidently_wrong(self):
+        # unscaled, the LP lags of these overflow or underflow
+        s = utterance(seed=12)
+        for alpha in (1e-300, 1e-200, 1e-170, 1e-150, 1e150, 1e200, 1e300):
+            d = detect_polarity_hp(s.scaled(alpha))
+            assert d.polarity in (Polarity.POSITIVE, Polarity.INDETERMINATE)
+
     def test_vote_accounting(self):
         d = detect_polarity_hp(utterance(seed=29))
         assert d.positive_votes + d.negative_votes <= d.anchors_used

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import solve_toeplitz
+from scipy.signal import lfilter
 
 from speechpolarity import (InvalidInputError, LpConfig, Polarity, Signal, SynthSpec,
                             UndefinedStatisticError, detect_polarity_reskew,
@@ -23,6 +24,39 @@ def spectral_flatness(x: np.ndarray) -> float:
     psd = psd[1:-1]
     psd = np.maximum(psd, 1e-300)
     return float(np.exp(np.mean(np.log(psd))) / np.mean(psd))
+
+
+def reference_lp_residual(s: Signal, cfg: LpConfig) -> np.ndarray:
+    """Frame copies, a forward-fill loop and one ``lfilter`` call per frame."""
+    fs = s.sample_rate_hz
+    x = s.samples
+    frame = int(round(cfg.frame_ms * fs / 1000.0))
+    hop = int(round(cfg.hop_ms * fs / 1000.0))
+    order = cfg.resolved_order(fs)
+    starts = list(range(0, x.size - frame + 1, hop))
+    if starts[-1] + frame < x.size:
+        starts.append(x.size - frame)
+    window = np.hamming(frame)
+    frames = np.stack([x[k:k + frame] for k in starts])
+    windowed = frames * window
+    lags = np.empty((len(starts), order + 1))
+    for k in range(order + 1):
+        lags[:, k] = np.einsum("fj,fj->f", windowed[:, :frame - k], windowed[:, k:])
+    coeffs, _, ok = levinson(lags)
+    prev = np.zeros(order + 1)
+    prev[0] = 1.0
+    for f in range(len(starts)):
+        if ok[f]:
+            prev = coeffs[f]
+        else:
+            coeffs[f] = prev
+    out = np.zeros(x.size)
+    weight = np.zeros(x.size)
+    for f, k in enumerate(starts):
+        out[k:k + frame] += lfilter(coeffs[f], [1.0], frames[f]) * window
+        weight[k:k + frame] += window
+    weight[weight == 0.0] = 1.0
+    return out / weight
 
 
 class TestLevinson:
@@ -89,6 +123,22 @@ class TestLpResidual:
         assert (~voiced).sum() >= 4000 - 2 * frame
         assert not res[~voiced].any()
         assert res[voiced].any()
+
+    @pytest.mark.parametrize("order", (None, 8))
+    @pytest.mark.parametrize("fs", (8000, 16000, 48000))
+    def test_matches_per_frame_lfilter_bitwise(self, fs, order):
+        # Silent frames and frames whose lags overflow both break the Levinson
+        # recursion: at the start they take the identity filter, later the last
+        # healthy frame's coefficients.
+        x = generate_utterance(SynthSpec(pitch_hz=130.0, sample_rate_hz=fs, jitter_pct=1.0,
+                                         seed=16)).samples
+        n = x.size // 4
+        cfg = LpConfig(order=order)
+        for y in (x, np.concatenate([np.zeros(n), x]),
+                  np.concatenate([x[:2 * n], np.zeros(n), x[2 * n:]]),
+                  np.concatenate([1e200 * x[:n], x[n:2 * n], 1e200 * x[2 * n:]])):
+            s = Signal(y, fs)
+            assert lp_residual(s, cfg).samples.tobytes() == reference_lp_residual(s, cfg).tobytes()
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
