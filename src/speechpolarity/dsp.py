@@ -1,38 +1,36 @@
 """Analytic-signal machinery: Hilbert transform, envelope, and cosine phase.
 
-The Hilbert transform is computed over the whole signal in a single FFT
-(no framing, no zero padding).  The envelope is invariant under sample
-negation while the cosine phase changes sign; both facts are load-bearing
-for the polarity detectors built on top of this module.
+The Hilbert transform is computed over the whole signal with one real FFT
+pair at the signal's own length: circular, with no framing and no zero
+padding.  The envelope is invariant under sample negation while the cosine
+phase changes sign; both facts are load-bearing for the polarity detectors
+built on top of this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import irfft, rfft
 
 from .types import AnalyticSignal, EnvelopeSeries, InvalidInputError, PhaseSeries, Signal
 
 
 def hilbert_transform(s: Signal) -> Signal:
-    """Return the Hilbert transform of ``s`` via the one-sided-spectrum method.
+    """Return the circular Hilbert transform of ``s`` via the one-sided-spectrum method.
 
-    Bin k of the forward FFT is multiplied by -j for 0 < k < N/2 and by +j
-    for N/2 < k < N; the DC bin (and the Nyquist bin for even N) is zeroed.
-    With this convention the transform of cos is sin.
+    One real FFT pair at the signal's own length N, no padding: bin k of the
+    one-sided spectrum is multiplied by -j for 0 < k < N/2 (the inverse real
+    FFT supplies +j on the negative bins); the DC bin (and the Nyquist bin
+    for even N) is zeroed.  With this convention the transform of cos is sin.
     """
     x = s.samples
     n = x.size
-    spec = np.fft.fft(x)
-    mult = np.zeros(n, dtype=np.complex128)
-    half = n // 2
+    spec = rfft(x)
+    spec[0] = 0.0
     if n % 2 == 0:
-        mult[1:half] = -1j
-        mult[half + 1:] = 1j
-    else:
-        mult[1:half + 1] = -1j
-        mult[half + 1:] = 1j
-    out = np.fft.ifft(spec * mult).real
-    return Signal(out, s.sample_rate_hz)
+        spec[-1] = 0.0
+    spec *= -1j
+    return Signal(irfft(spec, n), s.sample_rate_hz)
 
 
 def analytic_signal(s: Signal) -> AnalyticSignal:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .smoothing import centered_moving_average
 from .types import EpochList, InvalidInputError, Signal
@@ -62,42 +63,33 @@ def estimate_mean_pitch(s: Signal, cfg: ZffConfig | None = None) -> float:
     cfg = cfg or ZffConfig()
     fs = s.sample_rate_hz
     x = s.samples
-    if x.size < int(0.1 * fs):
-        return cfg.mean_pitch_fallback_hz
     frame = int(round(PITCH_FRAME_MS * fs / 1000.0))
     hop = int(round(PITCH_HOP_MS * fs / 1000.0))
     lag_lo = int(round(PITCH_LAG_MIN_MS * fs / 1000.0))
     lag_hi = int(round(PITCH_LAG_MAX_MS * fs / 1000.0))
-    if x.size < frame or lag_hi >= frame or lag_lo < 1:
+    if x.size < int(0.1 * fs) or lag_hi + 1 >= frame or lag_lo < 1:  # refinement reads lag_hi + 1
         return cfg.mean_pitch_fallback_hz
 
-    starts = np.arange(0, x.size - frame + 1, hop)
-    frames = np.stack([x[k:k + frame] for k in starts])
+    frames = sliding_window_view(x, frame)[::hop]
     frames = frames - frames.mean(axis=1, keepdims=True)
     spec = np.fft.rfft(frames, 2 * frame, axis=1)
     acf = np.fft.irfft(spec * np.conj(spec), axis=1)[:, :frame]
 
-    pitches = []
-    for row in acf:
-        r0 = row[0]
-        if r0 <= 0.0:
-            continue
-        seg = row[lag_lo:lag_hi + 1] / r0
-        k = int(np.argmax(seg))
-        if seg[k] < PITCH_VOICING_THRESHOLD:
-            continue
-        lag = float(lag_lo + k)
-        # parabolic refinement around the peak
-        j = lag_lo + k
-        if 1 <= j < frame - 1:
-            y0, y1, y2 = row[j - 1] / r0, row[j] / r0, row[j + 1] / r0
-            denom = y0 - 2 * y1 + y2
-            if denom < 0:
-                delta = 0.5 * (y0 - y2) / denom
-                if abs(delta) < 1.0:
-                    lag = j + delta
-        pitches.append(fs / lag)
-    if len(pitches) < PITCH_MIN_VOICED_FRAMES:
+    # negated tests, so that NaN rows (from overflowing inputs) count as voiced
+    rows = np.flatnonzero(~(acf[:, 0] <= 0.0))
+    r0 = acf[rows, 0]
+    seg = acf[rows, lag_lo:lag_hi + 1] / r0[:, None]
+    k = np.argmax(seg, axis=1)
+    voiced = ~(seg.max(axis=1) < PITCH_VOICING_THRESHOLD)
+    rows, r0, j = rows[voiced], r0[voiced], lag_lo + k[voiced]
+    # parabolic refinement around the peak
+    y0, y1, y2 = acf[rows, j - 1] / r0, acf[rows, j] / r0, acf[rows, j + 1] / r0
+    denom = y0 - 2 * y1 + y2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = 0.5 * (y0 - y2) / denom
+    lag = np.where((denom < 0) & (np.abs(delta) < 1.0), j + delta, j)
+    pitches = fs / lag
+    if pitches.size < PITCH_MIN_VOICED_FRAMES:
         return cfg.mean_pitch_fallback_hz
     return float(np.mean(pitches))
 

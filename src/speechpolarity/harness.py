@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -165,8 +165,8 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS),
     repeated per SNR level with a noise realization seeded deterministically
     from (spec seed, file index, level index).  Per-file failures are
     recorded with an error marker and counted as indeterminate; the batch
-    never aborts on a file.  A noise file that cannot be read or has zero
-    energy raises before any file is scored.
+    never aborts on a file.  A ``file`` noise source is read once per level;
+    one that cannot be read or has zero energy raises before any file is scored.
     """
     methods = tuple(m for m in methods if m)
     for m in methods:
@@ -176,11 +176,13 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS),
         raise InvalidInputError("manifest is empty")
 
     levels: list[NoiseSpec | None] = [None] if not noise_sweep else list(noise_sweep)
-    for level in levels:
+    noise_files = {}  # level index -> samples of its `file` noise source
+    for level_idx, level in enumerate(levels):
         if level is not None and level.kind == "file":
             noise = load_wav(level.path).samples
             if float(np.dot(noise, noise)) <= 0.0:
                 raise InvalidInputError(f"{level.path}: noise source has zero energy")
+            noise_files[level_idx] = noise
     tallies = {m: MethodTally() for m in methods}
     per_snr: dict = {m: {} for m in methods} if noise_sweep else None
     snr_counts = {m: {} for m in methods}
@@ -199,7 +201,7 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS),
             if clean is not None and level is not None:
                 seed = int(np.random.SeedSequence((level.seed, file_idx, level_idx)).generate_state(1)[0])
                 try:
-                    base = mix_noise(clean, NoiseSpec(level.kind, level.snr_db, seed=seed, path=level.path))
+                    base = mix_noise(clean, replace(level, seed=seed), noise=noise_files.get(level_idx))
                 except InvalidInputError as exc:  # e.g. a silent file; recorded, not raised
                     base, base_error = None, str(exc)
             outcomes = {}

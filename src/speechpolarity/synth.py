@@ -152,8 +152,11 @@ def _fit_length(noise: np.ndarray, n: int) -> np.ndarray:
     return np.tile(noise, reps)[:n]
 
 
-def mix_noise(s: Signal, spec: NoiseSpec) -> Signal:
-    """Add noise scaled so the full-signal energy ratio matches ``spec.snr_db``."""
+def mix_noise(s: Signal, spec: NoiseSpec, *, noise: np.ndarray | None = None) -> Signal:
+    """Add noise scaled so the full-signal energy ratio matches ``spec.snr_db``.
+
+    A ``file`` source is read from ``spec.path`` unless passed as ``noise``.
+    """
     energy = float(np.dot(s.samples, s.samples))
     if energy <= 0.0:
         raise InvalidInputError("cannot set an SNR against a zero-energy signal")
@@ -164,7 +167,7 @@ def mix_noise(s: Signal, spec: NoiseSpec) -> Signal:
         noise = _pink_noise(s.samples.size, rng)
     else:
         from .harness import load_wav  # deferred: harness owns file I/O
-        noise = _fit_length(load_wav(spec.path).samples, s.samples.size)
+        noise = _fit_length(load_wav(spec.path).samples if noise is None else noise, s.samples.size)
     noise_energy = float(np.dot(noise, noise))
     if noise_energy <= 0.0:
         raise InvalidInputError("noise source has zero energy")

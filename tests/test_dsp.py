@@ -73,6 +73,17 @@ class TestHilbertTransform:
         fft_path = hilbert_transform(Signal(x, FS)).samples
         assert np.max(np.abs(direct - fft_path)) <= 1e-10
 
+    def test_matches_direct_circular_convolution_at_awkward_lengths(self):
+        # primes and a product of two primes: zero padding to a fast FFT
+        # length would make the transform aperiodic and miss the oracle
+        rng = np.random.default_rng(43)
+        for n in (127, 143, 1009):
+            kernel = circular_hilbert_kernel(n)
+            x = rng.standard_normal(n)
+            direct = np.array([np.sum(x * kernel[(j - np.arange(n)) % n]) for j in range(n)])
+            fft_path = hilbert_transform(Signal(x, FS)).samples
+            assert np.max(np.abs(direct - fft_path)) <= 1e-10, n
+
     def test_impulse_response_closed_form(self):
         # imag part of the analytic signal of a centered impulse follows
         # (2/n) cot(pi m / n) at odd offsets and vanishes at even offsets

@@ -27,6 +27,47 @@ def dominant_frequency(y: Signal, lo_hz=50.0, hi_hz=400.0) -> float:
     return y.sample_rate_hz / lag
 
 
+def reference_mean_pitch(s: Signal, fallback_hz: float = 120.0) -> float:
+    """The pitch estimate computed frame by frame, one autocorrelation row at a time."""
+    fs = s.sample_rate_hz
+    x = s.samples
+    if x.size < int(0.1 * fs):
+        return fallback_hz
+    frame = int(round(40.0 * fs / 1000.0))
+    hop = int(round(20.0 * fs / 1000.0))
+    lag_lo = int(round(2.5 * fs / 1000.0))
+    lag_hi = int(round(20.0 * fs / 1000.0))
+    if x.size < frame or lag_hi >= frame or lag_lo < 1:
+        return fallback_hz
+    starts = np.arange(0, x.size - frame + 1, hop)
+    frames = np.stack([x[k:k + frame] for k in starts])
+    frames = frames - frames.mean(axis=1, keepdims=True)
+    spec = np.fft.rfft(frames, 2 * frame, axis=1)
+    acf = np.fft.irfft(spec * np.conj(spec), axis=1)[:, :frame]
+    pitches = []
+    for row in acf:
+        r0 = row[0]
+        if r0 <= 0.0:
+            continue
+        seg = row[lag_lo:lag_hi + 1] / r0
+        k = int(np.argmax(seg))
+        if seg[k] < 0.5:
+            continue
+        lag = float(lag_lo + k)
+        j = lag_lo + k
+        if 1 <= j < frame - 1:
+            y0, y1, y2 = row[j - 1] / r0, row[j] / r0, row[j + 1] / r0
+            denom = y0 - 2 * y1 + y2
+            if denom < 0:
+                delta = 0.5 * (y0 - y2) / denom
+                if abs(delta) < 1.0:
+                    lag = j + delta
+        pitches.append(fs / lag)
+    if len(pitches) < 5:
+        return fallback_hz
+    return float(np.mean(pitches))
+
+
 class TestMeanPitch:
     @pytest.mark.parametrize("pitch,tol", [(100.0, 2.0), (250.0, 5.0)])
     def test_synthetic_trains(self, pitch, tol):
@@ -37,6 +78,22 @@ class TestMeanPitch:
         rng = np.random.default_rng(0)
         est = estimate_mean_pitch(Signal(rng.standard_normal(FS), FS))
         assert est == 120.0
+
+    @pytest.mark.parametrize("fs", [8000, 16000, 48000])
+    def test_matches_per_row_loop_exactly(self, fs):
+        rng = np.random.default_rng(fs)
+        voiced = [generate_utterance(SynthSpec(pitch_hz=pitch, duration_s=1.5, sample_rate_hz=fs,
+                                               seed=seed)).samples
+                  for seed, pitch in enumerate((85.0, 140.0, 230.0, 310.0))]
+        inputs = voiced + [
+            np.concatenate((voiced[1], 0.3 * rng.standard_normal(fs // 2))),  # some frames unvoiced
+            rng.standard_normal(fs),  # no voiced frame: the fallback
+            np.cumsum(rng.standard_normal(fs)),  # peaks at the lag-window edge: no refinement
+            np.concatenate((np.zeros(int(0.2 * fs)), voiced[2])),  # frames with r0 = 0
+        ]
+        for x in inputs:
+            s = Signal(x, fs)
+            assert repr(estimate_mean_pitch(s)) == repr(reference_mean_pitch(s))
 
     def test_short_signal_falls_back(self):
         est = estimate_mean_pitch(Signal(np.ones(100), FS))

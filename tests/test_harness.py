@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from speechpolarity import harness
 from speechpolarity import (CorpusManifest, InvalidInputError, ManifestEntry, NoiseSpec,
                             Polarity, Signal, SynthSpec, evaluate_corpus, generate_utterance,
                             load_wav, parse_manifest, render_report, save_wav)
@@ -163,6 +164,37 @@ class TestEvaluateCorpus:
         with pytest.raises(InvalidInputError, match="zero energy"):
             evaluate_corpus(manifest, methods=("hp",),
                             noise_sweep=[NoiseSpec("file", 10.0, seed=1, path=str(noise))])
+
+    def test_noise_file_read_once_per_level(self, tmp_path, monkeypatch):
+        noise_path = tmp_path / "noise.wav"
+        rng = np.random.default_rng(4)
+        wavfile.write(noise_path, FS, (3000 * rng.standard_normal(FS // 2)).astype(np.int16))
+        manifest = make_corpus(tmp_path, [
+            ("a", 100.0, Polarity.POSITIVE, "speech"),
+            ("b", 150.0, Polarity.NEGATIVE, "speech"),
+            ("c", 210.0, Polarity.POSITIVE, "speech"),
+        ])
+        sweep = [NoiseSpec("file", snr, seed=2, path=str(noise_path)) for snr in (20.0, 10.0, 5.0)]
+        reads = []
+
+        def counting_load_wav(path):
+            reads.append(str(path))
+            return load_wav(path)
+
+        def run():
+            reads.clear()
+            report = evaluate_corpus(manifest, methods=("hp", "reskew"), noise_sweep=sweep)
+            return reads.count(str(noise_path)), render_report(report, "json"), render_report(report, "csv")
+
+        monkeypatch.setattr(harness, "load_wav", counting_load_wav)
+        noise_reads, json_out, csv_out = run()
+        assert noise_reads <= 3
+        # reference: mix_noise reads the file itself for every file and level
+        mix_noise = harness.mix_noise
+        monkeypatch.setattr(harness, "mix_noise", lambda s, spec, noise=None: mix_noise(s, spec))
+        ref_reads, ref_json, ref_csv = run()
+        assert ref_reads == 12  # 3 checks + 3 files x 3 levels
+        assert json_out == ref_json and csv_out == ref_csv
 
     def test_noise_sweep_populates_per_snr(self, tmp_path):
         manifest = make_corpus(tmp_path, [("pos1", 100.0, Polarity.POSITIVE, "speech")])
