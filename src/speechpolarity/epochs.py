@@ -122,12 +122,11 @@ def zff_filter(s: Signal, cfg: ZffConfig | None = None,
         raise InvalidInputError(
             f"signal too short for ZFF: {s.samples.size} samples < 3 trend windows ({3 * width})")
 
-    x = np.diff(s.samples, prepend=s.samples[:1]).astype(np.longdouble)
-    y = x
-    for _ in range(4):  # two cascaded double-poles at DC
-        y = np.cumsum(y)
+    y = np.diff(s.samples, prepend=s.samples[:1]).astype(np.longdouble)
+    for _ in range(4):  # two cascaded double-poles at DC, in place
+        np.cumsum(y, out=y)
     for _ in range(cfg.trend_passes):
-        y = y - centered_moving_average(y, width)
+        y -= centered_moving_average(y, width)
 
     y = np.asarray(y, dtype=np.float64)
     guard = min(2 * width, y.size)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.fft import irfft, rfft
 
 from speechpolarity import (InvalidInputError, Signal, analytic_signal, cosine_phase,
                             hilbert_envelope, hilbert_transform)
@@ -74,15 +75,39 @@ class TestHilbertTransform:
         assert np.max(np.abs(direct - fft_path)) <= 1e-10
 
     def test_matches_direct_circular_convolution_at_awkward_lengths(self):
-        # primes and a product of two primes: zero padding to a fast FFT
-        # length would make the transform aperiodic and miss the oracle
+        # primes, a product of two primes and twice a prime: zero padding to a
+        # fast FFT length would make the transform aperiodic and miss the oracle
         rng = np.random.default_rng(43)
-        for n in (127, 143, 1009):
+        for n in (127, 143, 1009, 2018):
             kernel = circular_hilbert_kernel(n)
             x = rng.standard_normal(n)
             direct = np.array([np.sum(x * kernel[(j - np.arange(n)) % n]) for j in range(n)])
             fft_path = hilbert_transform(Signal(x, FS)).samples
             assert np.max(np.abs(direct - fft_path)) <= 1e-10, n
+
+    @staticmethod
+    def one_sided_pair(x):
+        """One rfft/irfft pair at the signal's own length: the reference transform."""
+        n = x.size
+        spec = rfft(x)
+        spec[0] = 0.0
+        if n % 2 == 0:
+            spec[-1] = 0.0
+        spec *= -1j
+        return irfft(spec, n)
+
+    @pytest.mark.parametrize("n", [1024, 16000, 48000, 16001, 48011, 160065])
+    def test_matches_one_sided_pair_on_both_paths(self, n):
+        # 5-smooth lengths take the pair itself, bit for bit; lengths with a
+        # large prime factor take the padded convolution with the kernel
+        x = np.random.default_rng(n).standard_normal(n)
+        out = hilbert_transform(Signal(x, FS)).samples
+        ref = self.one_sided_pair(x)
+        if n in (1024, 16000, 48000):
+            assert out.tobytes() == ref.tobytes()
+        else:
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert hilbert_transform(Signal(-x, FS)).samples.tobytes() == (-out).tobytes()
 
     def test_impulse_response_closed_form(self):
         # imag part of the analytic signal of a centered impulse follows
