@@ -1,6 +1,6 @@
 """Optional key = value configuration files for the CLI.
 
-Keys are section-qualified field names (`zff.trend_passes = 2`,
+Keys are section-qualified field names (`zff.trend_window_ms = 8`,
 `hp.min_votes = 5`, `lp.order = 12`); `#` starts a comment.  CLI flags
 override file values.
 """
@@ -18,10 +18,10 @@ from .types import InvalidInputError
 _SECTIONS = {"zff": ZffConfig, "hp": HpConfig, "lp": LpConfig}
 
 
-def _coerce(cls, name: str, raw: str):
-    declared = get_type_hints(cls).get(name)
+def _coerce(section: str, name: str, raw: str):
+    declared = get_type_hints(_SECTIONS[section]).get(name)
     if declared is None:
-        raise InvalidInputError(f"unknown option {name!r} for section")
+        raise InvalidInputError(f"unknown option {section}.{name}")
     text = raw.strip()
     if text.lower() in ("none", "auto"):
         return None
@@ -52,7 +52,7 @@ def parse_config_file(path) -> dict:
         section, name = key.split(".", 1)
         if section not in _SECTIONS:
             raise InvalidInputError(f"{path}:{lineno}: unknown section {section!r}")
-        out[section][name] = _coerce(_SECTIONS[section], name, value)
+        out[section][name] = _coerce(section, name, value)
     return out
 
 

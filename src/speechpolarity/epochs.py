@@ -10,7 +10,6 @@ for a signal and its negation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,39 +27,37 @@ PITCH_LAG_MIN_MS = 2.5
 PITCH_LAG_MAX_MS = 20.0
 PITCH_VOICING_THRESHOLD = 0.5
 PITCH_MIN_VOICED_FRAMES = 5
+PITCH_FALLBACK_HZ = 120.0  # returned when too few frames are voiced
+
+ZFF_TREND_PASSES = 3
 
 
 @dataclass(frozen=True)
 class ZffConfig:
-    """Parameters of the ZFF stage.
+    """The one setting of the ZFF stage: the trend-removal window.
 
-    ``trend_window_ms = None`` sizes the trend-removal window automatically
-    to 1.5 mean pitch periods, clamped to [3, 25] ms.
+    ``trend_window_ms = None`` sizes the window automatically to 1.5 mean
+    pitch periods, clamped to [3, 25] ms.  The number of trend passes is the
+    module constant ``ZFF_TREND_PASSES`` and the unvoiced fallback pitch is
+    ``PITCH_FALLBACK_HZ``.
     """
 
     trend_window_ms: float | None = None
-    trend_passes: int = 3
-    mean_pitch_fallback_hz: float = 120.0
 
     def __post_init__(self):
         if self.trend_window_ms is not None and not (1.0 <= self.trend_window_ms <= 50.0):
             raise InvalidInputError(
                 f"trend_window_ms must lie in [1, 50] ms, got {self.trend_window_ms}")
-        if not (isinstance(self.trend_passes, Integral) and 1 <= self.trend_passes <= 5):
-            raise InvalidInputError(f"trend_passes must be an integer in [1, 5], got {self.trend_passes}")
-        if self.mean_pitch_fallback_hz <= 0:
-            raise InvalidInputError("mean_pitch_fallback_hz must be positive")
 
 
-def estimate_mean_pitch(s: Signal, cfg: ZffConfig | None = None) -> float:
+def estimate_mean_pitch(s: Signal) -> float:
     """Mean fundamental frequency from normalized autocorrelation of 40 ms frames.
 
     The peak lag is searched between 2.5 and 20 ms (50-400 Hz); a frame
     counts as voiced when its normalized autocorrelation peak reaches 0.5.
-    Returns the configured fallback when fewer than 5 frames are voiced or
+    Returns ``PITCH_FALLBACK_HZ`` when fewer than 5 frames are voiced or
     the signal is shorter than 100 ms.
     """
-    cfg = cfg or ZffConfig()
     fs = s.sample_rate_hz
     x = s.samples
     frame = int(round(PITCH_FRAME_MS * fs / 1000.0))
@@ -68,7 +65,7 @@ def estimate_mean_pitch(s: Signal, cfg: ZffConfig | None = None) -> float:
     lag_lo = int(round(PITCH_LAG_MIN_MS * fs / 1000.0))
     lag_hi = int(round(PITCH_LAG_MAX_MS * fs / 1000.0))
     if x.size < int(0.1 * fs) or lag_hi + 1 >= frame or lag_lo < 1:  # refinement reads lag_hi + 1
-        return cfg.mean_pitch_fallback_hz
+        return PITCH_FALLBACK_HZ
 
     frames = sliding_window_view(x, frame)[::hop]
     frames = frames - frames.mean(axis=1, keepdims=True)
@@ -90,7 +87,7 @@ def estimate_mean_pitch(s: Signal, cfg: ZffConfig | None = None) -> float:
     lag = np.where((denom < 0) & (np.abs(delta) < 1.0), j + delta, j)
     pitches = fs / lag
     if pitches.size < PITCH_MIN_VOICED_FRAMES:
-        return cfg.mean_pitch_fallback_hz
+        return PITCH_FALLBACK_HZ
     return float(np.mean(pitches))
 
 
@@ -101,7 +98,7 @@ def zff_filter(s: Signal, cfg: ZffConfig | None = None,
     The input is differenced, passed twice through the zero-frequency
     resonator y(n) = x(n) + 2 y(n-1) - y(n-2) (realized as cumulative sums
     in extended precision, since the raw output grows polynomially), and the
-    trend is removed by subtracting the local mean ``trend_passes`` times.
+    trend is removed by subtracting the local mean ``ZFF_TREND_PASSES`` times.
     The outermost two trend windows are zeroed: the truncated-window mean
     cannot track the polynomial growth right at the boundaries, and anchors
     that close to the edges are of no use downstream.  The automatic trend
@@ -112,7 +109,7 @@ def zff_filter(s: Signal, cfg: ZffConfig | None = None,
     window_ms = cfg.trend_window_ms
     if window_ms is None:
         if mean_pitch_hz is None:
-            mean_pitch_hz = estimate_mean_pitch(s, cfg)
+            mean_pitch_hz = estimate_mean_pitch(s)
         window_ms = float(np.clip(1.5 * 1000.0 / mean_pitch_hz, 3.0, 25.0))
     width = int(round(window_ms * fs / 1000.0))
     if width % 2 == 0:
@@ -125,7 +122,7 @@ def zff_filter(s: Signal, cfg: ZffConfig | None = None,
     y = np.diff(s.samples, prepend=s.samples[:1]).astype(np.longdouble)
     for _ in range(4):  # two cascaded double-poles at DC, in place
         np.cumsum(y, out=y)
-    for _ in range(cfg.trend_passes):
+    for _ in range(ZFF_TREND_PASSES):
         y -= centered_moving_average(y, width)
 
     y = np.asarray(y, dtype=np.float64)

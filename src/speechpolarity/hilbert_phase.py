@@ -4,7 +4,7 @@ Per utterance: zero-frequency filtering provides polarity-invariant anchor
 instants; Hilbert-envelope peaks of the differentiated band-limited signal
 are selected near those anchors; each peak contributes a vote read from the
 cosine phase of the glottal-flow approximation over the early closed phase,
-from the peak to ``phase_span_periods`` mean pitch periods after it.
+from the peak to ``PHASE_SPAN_PERIODS`` mean pitch periods after it.
 
 Differentiating tilts the band toward the broadband closure event and away
 from low-frequency formant ringing.  The peaks land at closure or in the
@@ -15,18 +15,23 @@ recording the flow falls into its minimum at closure and stays low while
 the glottis is closed, so the phase read just after the peak is negative;
 the calibrated sign constant maps the majority vote onto a polarity.
 
-The read starts at the peak and by default spans only an eighth of a
-period, because the flow's trough is not always wide: when a formant sits
-on the fundamental, the inverse filter notches the fundamental out of the
-flow, which then keeps only a narrow trough at closure followed by a
-harmonic bump 0.15-0.3 periods later.  A window centred on the peak, or one
-reaching past that bump, reads the two halves of the cycle against each
-other.
+The read starts at the peak and spans only an eighth of a period, because
+the flow's trough is not always wide: when a formant sits on the
+fundamental, the inverse filter notches the fundamental out of the flow,
+which then keeps only a narrow trough at closure followed by a harmonic
+bump 0.15-0.3 periods later.  A window centred on the peak, or one reaching
+past that bump, reads the two halves of the cycle against each other.
 
-The band-limited front end (default 60-1600 Hz) and the tract-removing
-flow approximation are what make the votes indifferent to the formant
+The band-limited front end (60-1600 Hz) and the tract-removing flow
+approximation are what make the votes indifferent to the formant
 configuration and to broadband noise; the vote logic itself reads the
 analytic-signal phase at envelope peaks.
+
+The method is one fixed pipeline: the band edges, the peak search, the
+span and the abstention level of the phase read are module constants
+(``BAND_LOW_HZ``, ``BAND_HIGH_HZ``, ``PEAK_SEARCH_MS``, ``PROMINENCE_FLOOR``,
+``PHASE_SPAN_PERIODS``, ``MIN_PHASE_MAGNITUDE``).  Only the vote count
+below which the detector abstains, ``HpConfig.min_votes``, is settable.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 from scipy.signal import butter, filtfilt
 
 from .dsp import analytic_signal, cosine_phase, hilbert_envelope
-from .epochs import ZffConfig, estimate_mean_pitch, extract_epochs, zff_filter
+from .epochs import PITCH_FALLBACK_HZ, ZffConfig, estimate_mean_pitch, extract_epochs, zff_filter
 from .reskew import LpConfig, glottal_flow_estimate
 from .types import (EnvelopeSeries, EpochList, InvalidInputError, PhaseSeries, Polarity,
                     PolarityDecision, Signal, detector_input)
@@ -53,57 +58,48 @@ HP_RESIDUAL_ORDER = 8
 # Calibrated on the synthetic oracle: a negative vote majority => positive polarity.
 VOTE_SIGN_FOR_POSITIVE = -1
 
+# Front-end pass band; the upper edge is capped at 0.95 Nyquist.
+BAND_LOW_HZ = 60.0
+BAND_HIGH_HZ = 1600.0
+PEAK_SEARCH_MS = 10.0  # half-width of the peak search around each anchor
+PROMINENCE_FLOOR = 0.05  # of the global envelope maximum
+PHASE_SPAN_PERIODS = 0.125  # length of the phase read after each peak
+MIN_PHASE_MAGNITUDE = 0.25  # weaker phase averages abstain
+
 
 @dataclass(frozen=True)
 class HpConfig:
-    """Detector parameters.
+    """The one detector setting: the abstention threshold.
 
-    Each selected peak votes with the sign of the cosine phase of the flow
-    approximation averaged from the peak over the next
-    ``phase_span_periods`` mean pitch periods; votes weaker than
-    ``min_phase_magnitude`` abstain.  The vote majority maps onto a polarity
+    With fewer than ``min_votes`` non-abstaining votes, or a tie, the
+    decision is indeterminate.  The vote majority maps onto a polarity
     through the module constant ``VOTE_SIGN_FOR_POSITIVE`` (see
-    ``calibrate``).
+    ``calibrate``).  The band, peak and phase-read settings are the module
+    constants ``BAND_LOW_HZ``, ``BAND_HIGH_HZ``, ``PEAK_SEARCH_MS``,
+    ``PROMINENCE_FLOOR``, ``PHASE_SPAN_PERIODS`` and ``MIN_PHASE_MAGNITUDE``.
     """
 
-    peak_search_ms: float = 10.0
     min_votes: int = 3
-    prominence_floor: float = 0.05
-    min_phase_magnitude: float = 0.25
-    phase_span_periods: float = 0.125
-    band_low_hz: float = 60.0
-    band_high_hz: float = 1600.0
 
     def __post_init__(self):
-        if not (0.5 <= self.peak_search_ms <= 20.0):
-            raise InvalidInputError(f"peak_search_ms must lie in [0.5, 20], got {self.peak_search_ms}")
         if not (isinstance(self.min_votes, Integral) and self.min_votes >= 1):
             raise InvalidInputError(f"min_votes must be a positive integer, got {self.min_votes}")
-        if not (0.0 <= self.prominence_floor <= 1.0):
-            raise InvalidInputError("prominence_floor must lie in [0, 1]")
-        if not (0.0 <= self.min_phase_magnitude < 1.0):
-            raise InvalidInputError("min_phase_magnitude must lie in [0, 1)")
-        if not (0.0 <= self.phase_span_periods <= 0.5):
-            raise InvalidInputError("phase_span_periods must lie in [0, 0.5]")
-        if not (0.0 < self.band_low_hz < self.band_high_hz):
-            raise InvalidInputError("band edges must satisfy 0 < low < high")
 
 
-def select_he_peaks(env: EnvelopeSeries, epochs: EpochList, cfg: HpConfig | None = None) -> np.ndarray:
+def select_he_peaks(env: EnvelopeSeries, epochs: EpochList) -> np.ndarray:
     """Envelope maxima near the anchor instants.
 
-    For each epoch the envelope argmax within +-peak_search_ms is taken,
-    kept only if it reaches ``prominence_floor`` times the global envelope
+    For each epoch the envelope argmax within +-``PEAK_SEARCH_MS`` is taken,
+    kept only if it reaches ``PROMINENCE_FLOOR`` times the global envelope
     maximum; duplicates collapse to one index and the result is ascending.
     """
-    cfg = cfg or HpConfig()
     if env.sample_rate_hz != epochs.sample_rate_hz:
         raise InvalidInputError("envelope and epochs must share a sample rate")
     values = env.values
     if values.size == 0 or len(epochs) == 0:
         return np.empty(0, dtype=np.int64)
-    half = int(round(cfg.peak_search_ms * env.sample_rate_hz / 1000.0))
-    floor = cfg.prominence_floor * float(values.max())
+    half = int(round(PEAK_SEARCH_MS * env.sample_rate_hz / 1000.0))
+    floor = PROMINENCE_FLOOR * float(values.max())
     picked = set()
     for e in epochs.indices:
         lo = max(0, int(e) - half)
@@ -114,60 +110,53 @@ def select_he_peaks(env: EnvelopeSeries, epochs: EpochList, cfg: HpConfig | None
     return np.asarray(sorted(picked), dtype=np.int64)
 
 
-def phase_sign_at_peak(phase: PhaseSeries, peak_idx: int, cfg: HpConfig | None = None,
-                       pitch_hz: float | None = None) -> int:
+def phase_sign_at_peak(phase: PhaseSeries, peak_idx: int,
+                       pitch_hz: float = PITCH_FALLBACK_HZ) -> int:
     """Sign of the cosine phase just after the peak; 0 when too weak to trust.
 
     The phase is averaged from the peak over the following
-    ``phase_span_periods`` periods of ``pitch_hz`` (the early closed phase
-    when the peak sits on a glottal closure); ``pitch_hz = None`` uses the
-    ZFF fallback pitch.  Averages weaker than ``min_phase_magnitude``
-    abstain.
+    ``PHASE_SPAN_PERIODS`` periods of ``pitch_hz`` (the early closed phase
+    when the peak sits on a glottal closure).  Averages weaker than
+    ``MIN_PHASE_MAGNITUDE`` abstain.
     """
-    cfg = cfg or HpConfig()
     v = phase.values
     if not (0 <= peak_idx < v.size):
         raise InvalidInputError(f"peak index {peak_idx} out of range")
-    if pitch_hz is None:
-        pitch_hz = ZffConfig().mean_pitch_fallback_hz
     if not pitch_hz > 0.0:
         raise InvalidInputError(f"pitch_hz must be positive, got {pitch_hz}")
-    span = int(round(cfg.phase_span_periods * phase.sample_rate_hz / pitch_hz))
+    span = int(round(PHASE_SPAN_PERIODS * phase.sample_rate_hz / pitch_hz))
     value = float(np.mean(v[peak_idx:peak_idx + span + 1]))
-    if abs(value) < cfg.min_phase_magnitude:
+    if abs(value) < MIN_PHASE_MAGNITUDE:
         return 0
     return int(np.sign(value))
 
 
-def _band_limit(s: Signal, cfg: HpConfig) -> Signal:
+def _band_limit(s: Signal) -> Signal:
+    # detector_input requires fs >= 1 kHz, so the upper edge is at least 475 Hz
     nyq = s.sample_rate_hz / 2.0
-    high = min(cfg.band_high_hz, 0.95 * nyq)
-    low = cfg.band_low_hz
-    if low >= high:
-        return s
-    b, a = butter(2, [low / nyq, high / nyq], btype="band")
+    high = min(BAND_HIGH_HZ, 0.95 * nyq)
+    b, a = butter(2, [BAND_LOW_HZ / nyq, high / nyq], btype="band")
     return Signal(filtfilt(b, a, s.samples), s.sample_rate_hz)
 
 
 def detect_polarity_hp(s: Signal, zcfg: ZffConfig | None = None,
                        hcfg: HpConfig | None = None) -> PolarityDecision:
     """Vote-based polarity decision; see the module docstring for the pipeline."""
-    zcfg = zcfg or ZffConfig()
     hcfg = hcfg or HpConfig()
     s = detector_input(s)
 
-    band = _band_limit(s, hcfg)
-    pitch = estimate_mean_pitch(band, zcfg)
+    band = _band_limit(s)
+    pitch = estimate_mean_pitch(band)
     epochs = extract_epochs(zff_filter(band, zcfg, mean_pitch_hz=pitch))
     derivative = Signal(np.gradient(band.samples), band.sample_rate_hz)
-    peaks = select_he_peaks(hilbert_envelope(analytic_signal(derivative)), epochs, hcfg)
+    peaks = select_he_peaks(hilbert_envelope(analytic_signal(derivative)), epochs)
 
     positive = negative = 0
     if peaks.size:
         flow = glottal_flow_estimate(band, LpConfig(order=HP_RESIDUAL_ORDER), mean_pitch_hz=pitch)
         phase = cosine_phase(analytic_signal(flow))
         for p in peaks:
-            vote = phase_sign_at_peak(phase, int(p), hcfg, pitch)
+            vote = phase_sign_at_peak(phase, int(p), pitch)
             if vote > 0:
                 positive += 1
             elif vote < 0:

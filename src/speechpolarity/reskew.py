@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, filtfilt, lfilter
 
-from .epochs import ZffConfig, estimate_mean_pitch
+from .epochs import estimate_mean_pitch
 from .smoothing import centered_moving_average
 from .types import (InvalidInputError, Polarity, PolarityDecision, Signal, UndefinedStatisticError,
                     detector_input)
@@ -28,31 +28,32 @@ INDETERMINATE_BAND = 1e-6
 # Calibrated on the synthetic oracle: positive glottal-skewness => positive polarity.
 STATISTIC_SIGN_FOR_POSITIVE = +1
 
+LP_FRAME_MS = 25.0
+LP_HOP_MS = 5.0
+# Glottal-flow approximation: residual lowpass cutoff, then the leaky
+# integrator's time constant and the detrend window in mean pitch periods.
+RESIDUAL_SMOOTH_HZ = 800.0
+INTEGRATION_PERIODS = 2.0
+DETREND_PERIODS = 1.2
+
 
 @dataclass(frozen=True)
 class LpConfig:
-    """Linear-prediction and glottal-approximation parameters.
+    """The one linear-prediction setting: the LP order.
 
     ``order = None`` resolves to round(fs/1000) + 2, clamped to [4, 40].
-    The leaky-integration time constant is ``integration_periods`` mean
-    pitch periods.  ``detect_polarity_hp`` takes no LpConfig: it uses
-    ``order = HP_RESIDUAL_ORDER`` (8) with the other fields at their defaults.
+    ``detect_polarity_hp`` takes no LpConfig: it uses
+    ``order = HP_RESIDUAL_ORDER`` (8).  Frames and the glottal-flow
+    approximation are set by the module constants ``LP_FRAME_MS``,
+    ``LP_HOP_MS``, ``RESIDUAL_SMOOTH_HZ``, ``INTEGRATION_PERIODS`` and
+    ``DETREND_PERIODS``.
     """
 
     order: int | None = None
-    frame_ms: float = 25.0
-    hop_ms: float = 5.0
-    residual_smooth_hz: float = 800.0
-    integration_periods: float = 2.0
-    detrend_periods: float = 1.2
 
     def __post_init__(self):
         if self.order is not None and not (isinstance(self.order, Integral) and 4 <= self.order <= 40):
             raise InvalidInputError(f"order must be an integer in [4, 40], got {self.order}")
-        if not (0 < self.hop_ms <= self.frame_ms):
-            raise InvalidInputError("hop_ms must lie in (0, frame_ms]")
-        if self.residual_smooth_hz <= 0:
-            raise InvalidInputError("residual_smooth_hz must be positive")
 
     def resolved_order(self, sample_rate_hz: int) -> int:
         if self.order is not None:
@@ -111,8 +112,8 @@ def lp_residual(s: Signal, cfg: LpConfig | None = None) -> Signal:
     cfg = cfg or LpConfig()
     fs = s.sample_rate_hz
     x = s.samples
-    frame = int(round(cfg.frame_ms * fs / 1000.0))
-    hop = int(round(cfg.hop_ms * fs / 1000.0))
+    frame = int(round(LP_FRAME_MS * fs / 1000.0))
+    hop = int(round(LP_HOP_MS * fs / 1000.0))
     if x.size < 2 * frame:
         raise InvalidInputError(
             f"signal too short for LP analysis: {x.size} samples < 2 frames ({2 * frame})")
@@ -170,26 +171,25 @@ def glottal_flow_estimate(s: Signal, cfg: LpConfig | None = None,
     """Rough glottal-flow approximation from the LP residual.
 
     The residual is lowpass-smoothed (whitening ringing removed), leaky-
-    integrated over roughly ``integration_periods`` pitch periods, and
-    detrended with a centered moving average of ``detrend_periods`` pitch
+    integrated over roughly ``INTEGRATION_PERIODS`` pitch periods, and
+    detrended with a centered moving average of ``DETREND_PERIODS`` pitch
     periods so that integration drift and sub-pitch noise do not drown the
     flow bumps.
     """
-    cfg = cfg or LpConfig()
     fs = s.sample_rate_hz
     if mean_pitch_hz is None:
-        mean_pitch_hz = estimate_mean_pitch(s, ZffConfig())
+        mean_pitch_hz = estimate_mean_pitch(s)
     e = lp_residual(s, cfg).samples
 
     nyq = fs / 2.0
-    cutoff = min(cfg.residual_smooth_hz, 0.95 * nyq)
+    cutoff = min(RESIDUAL_SMOOTH_HZ, 0.95 * nyq)
     b, a = butter(4, cutoff / nyq, btype="low")
     smooth = filtfilt(b, a, e)
 
-    tau = cfg.integration_periods * fs / mean_pitch_hz
+    tau = INTEGRATION_PERIODS * fs / mean_pitch_hz
     pole = float(np.exp(-1.0 / tau))
     g = lfilter([1.0], [1.0, -pole], smooth)
-    g = g - centered_moving_average(g, int(round(cfg.detrend_periods * fs / mean_pitch_hz)))
+    g = g - centered_moving_average(g, int(round(DETREND_PERIODS * fs / mean_pitch_hz)))
     return Signal(g, fs)
 
 

@@ -11,7 +11,8 @@ def centered_moving_average(x: np.ndarray, width_samples: int) -> np.ndarray:
     The window is forced to an odd number of samples (minimum 3).  Edge
     samples average over whatever part of the window is in range, so the
     output has the same length as the input.  The interior, where the whole
-    window is in range, is one slice difference of the cumulative sum.
+    window is in range, is one slice difference of the cumulative sum,
+    divided in place.
     """
     w = int(width_samples)
     if w % 2 == 0:
@@ -26,4 +27,7 @@ def centered_moving_average(x: np.ndarray, width_samples: int) -> np.ndarray:
     edges = (csum[hi] - csum[lo]) / (hi - lo)
     if n <= w:
         return edges
-    return np.concatenate((edges[:h], (csum[w:] - csum[:n - w + 1]) / w, edges[h:]))
+    interior = csum[w:] - csum[:n - w + 1]
+    del csum  # keep at most two input-sized temporaries alive at once
+    interior /= w
+    return np.concatenate((edges[:h], interior, edges[h:]))

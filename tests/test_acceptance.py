@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from speechpolarity import (HpConfig, NoiseSpec, Polarity, Signal, SynthSpec, ZffConfig,
+from speechpolarity import (NoiseSpec, Polarity, Signal, SynthSpec,
                             analytic_signal, cosine_phase, detect_polarity_hp,
                             detect_polarity_reskew, extract_epochs, generate_utterance,
                             hilbert_envelope, hilbert_transform, mix_noise, parse_manifest,

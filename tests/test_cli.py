@@ -1,13 +1,26 @@
 """End-to-end CLI behaviour, including exit codes and config overrides."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from speechpolarity import Polarity, SynthSpec, generate_utterance, load_wav, save_wav
 from speechpolarity.cli import main
+from speechpolarity.config import build_configs, parse_config_file
 
 FS = 16000
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Settings that are module constants now, with their values; a config file
+# that still sets one is rejected, not silently ignored.
+REMOVED_KEYS = (
+    "zff.trend_passes = 3", "zff.mean_pitch_fallback_hz = 120",
+    "hp.peak_search_ms = 10", "hp.prominence_floor = 0.05", "hp.min_phase_magnitude = 0.25",
+    "hp.phase_span_periods = 0.125", "hp.band_low_hz = 60", "hp.band_high_hz = 1600",
+    "lp.frame_ms = 25", "lp.hop_ms = 5", "lp.residual_smooth_hz = 800",
+    "lp.integration_periods = 2", "lp.detrend_periods = 1.2",
+)
 
 
 def write_utt(tmp_path, name, polarity, pitch=120.0, seed=1):
@@ -61,13 +74,35 @@ class TestDetect:
         cfg.write_text("hp.not_a_field = 1\n", encoding="utf-8")
         assert main(["detect", str(wav), "--config", str(cfg)]) == 65
 
-    @pytest.mark.parametrize("line", ["zff.trend_passes = 2.5", "lp.order = 8.5",
-                                      "hp.min_votes = 2.5"])
+    @pytest.mark.parametrize("line", ["lp.order = 8.5", "hp.min_votes = 2.5"])
     def test_non_integer_config_data_error(self, tmp_path, line):
         wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
         cfg = tmp_path / "conf.txt"
         cfg.write_text(line + "\n", encoding="utf-8")
         assert main(["detect", str(wav), "--config", str(cfg)]) == 65
+
+    @pytest.mark.parametrize("line", REMOVED_KEYS)
+    def test_removed_key_is_unknown_option(self, tmp_path, capsys, line):
+        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main(["detect", str(wav), "--config", str(cfg)]) == 65
+        key = line.split("=")[0].strip()
+        assert f"unknown option {key}" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    def test_readme_example_builds(self, tmp_path):
+        # the fenced block right after the README's `--config` paragraph
+        text = README.read_text(encoding="utf-8")
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(text[text.index("(`--config`)"):].split("```")[1], encoding="utf-8")
+        overrides = parse_config_file(cfg)
+        assert all(overrides.values()), "the example should set a key of every section"
+        zcfg, hcfg, lcfg = build_configs(overrides)
+        for section, built in (("zff", zcfg), ("hp", hcfg), ("lp", lcfg)):
+            for name, value in overrides[section].items():
+                assert getattr(built, name) == value
 
 
 class TestSynth:

@@ -68,7 +68,6 @@ class TestHilbertTransform:
         kernel = circular_hilbert_kernel(n)
         rng = np.random.default_rng(42)
         x = rng.standard_normal(n)
-        direct = np.array([np.sum(x * np.roll(kernel, j)[::-1]) for j in range(n)])
         # circular convolution: y[j] = sum_m x[m] kernel[(j - m) mod n]
         direct = np.array([np.sum(x * kernel[(j - np.arange(n)) % n]) for j in range(n)])
         fft_path = hilbert_transform(Signal(x, FS)).samples

@@ -6,6 +6,7 @@ import pytest
 from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec, ZffConfig,
                             estimate_mean_pitch, extract_epochs, generate_utterance,
                             zff_filter)
+from speechpolarity.epochs import PITCH_FALLBACK_HZ
 
 FS = 16000
 
@@ -99,10 +100,9 @@ class TestMeanPitch:
         est = estimate_mean_pitch(Signal(np.ones(100), FS))
         assert est == 120.0
 
-    def test_custom_fallback(self):
+    def test_unvoiced_fallback_is_module_constant(self):
         rng = np.random.default_rng(1)
-        cfg = ZffConfig(mean_pitch_fallback_hz=95.0)
-        assert estimate_mean_pitch(Signal(rng.standard_normal(FS), FS), cfg) == 95.0
+        assert estimate_mean_pitch(Signal(rng.standard_normal(FS), FS)) == PITCH_FALLBACK_HZ
 
 
 class TestZffFilter:
@@ -128,9 +128,8 @@ class TestZffFilter:
 
     def test_supplied_pitch_matches_own_estimate(self):
         s = utterance(180.0, seed=11)
-        cfg = ZffConfig()
-        own = zff_filter(s, cfg).samples
-        handed = zff_filter(s, cfg, mean_pitch_hz=estimate_mean_pitch(s, cfg)).samples
+        own = zff_filter(s).samples
+        handed = zff_filter(s, mean_pitch_hz=estimate_mean_pitch(s)).samples
         assert np.array_equal(handed, own)
 
     def test_explicit_window_overrides_supplied_pitch(self):
@@ -144,10 +143,6 @@ class TestZffFilter:
     def test_explicit_window_validation(self):
         with pytest.raises(InvalidInputError):
             ZffConfig(trend_window_ms=0.2)
-        with pytest.raises(InvalidInputError):
-            ZffConfig(trend_passes=9)
-        with pytest.raises(InvalidInputError):
-            ZffConfig(trend_passes=2.5)
 
 
 class TestExtractEpochs:

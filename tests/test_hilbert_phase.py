@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from speechpolarity import (EnvelopeSeries, EpochList, HpConfig, InvalidInputError,
-                            PhaseSeries, Polarity, Signal, SynthSpec, ZffConfig,
+                            PhaseSeries, Polarity, Signal, SynthSpec,
                             analytic_signal, detect_polarity_hp, extract_epochs,
                             generate_utterance, generate_utterance_with_instants,
                             hilbert_envelope, phase_sign_at_peak, select_he_peaks,
@@ -50,7 +50,7 @@ class TestSelectHePeaks:
         values[1000] = 1.0  # single loud peak; the rest sit below the floor
         env = EnvelopeSeries(values, FS)
         epochs = EpochList(np.array([1000, 3000]), FS)
-        peaks = select_he_peaks(env, epochs, HpConfig(peak_search_ms=5.0))
+        peaks = select_he_peaks(env, epochs)
         assert peaks.tolist() == [1000]
 
     def test_rate_mismatch_rejected(self):
@@ -146,8 +146,6 @@ class TestDetector:
         assert a == b
 
     def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            HpConfig(peak_search_ms=100.0)
         with pytest.raises(InvalidInputError):
             HpConfig(min_votes=2.5)
 

@@ -9,6 +9,7 @@ from speechpolarity import (InvalidInputError, LpConfig, Polarity, Signal, Synth
                             UndefinedStatisticError, detect_polarity_reskew,
                             generate_utterance, levinson, lp_residual, reskew_statistic,
                             skewness)
+from speechpolarity.reskew import LP_FRAME_MS, LP_HOP_MS
 
 FS = 16000
 
@@ -30,8 +31,8 @@ def reference_lp_residual(s: Signal, cfg: LpConfig) -> np.ndarray:
     """Frame copies, a forward-fill loop and one ``lfilter`` call per frame."""
     fs = s.sample_rate_hz
     x = s.samples
-    frame = int(round(cfg.frame_ms * fs / 1000.0))
-    hop = int(round(cfg.hop_ms * fs / 1000.0))
+    frame = int(round(LP_FRAME_MS * fs / 1000.0))
+    hop = int(round(LP_HOP_MS * fs / 1000.0))
     order = cfg.resolved_order(fs)
     starts = list(range(0, x.size - frame + 1, hop))
     if starts[-1] + frame < x.size:
@@ -113,8 +114,7 @@ class TestLpResidual:
         x = np.concatenate([utterance(seed=14, duration=0.5).samples, np.zeros(4000),
                             utterance(seed=15, duration=0.5).samples])
         res = lp_residual(Signal(x, FS)).samples
-        cfg = LpConfig()
-        frame, hop = round(cfg.frame_ms * FS / 1000), round(cfg.hop_ms * FS / 1000)
+        frame, hop = round(LP_FRAME_MS * FS / 1000), round(LP_HOP_MS * FS / 1000)
         starts = list(range(0, x.size - frame + 1, hop)) + [x.size - frame]
         voiced = np.zeros(x.size, dtype=bool)
         for k in starts:
@@ -143,8 +143,6 @@ class TestLpResidual:
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             LpConfig(order=2)
-        with pytest.raises(InvalidInputError):
-            LpConfig(hop_ms=30.0, frame_ms=25.0)
         with pytest.raises(InvalidInputError):
             LpConfig(order=8.5)
 
