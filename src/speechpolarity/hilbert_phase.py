@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, filtfilt
 
 from .dsp import analytic_signal, cosine_phase, hilbert_envelope
@@ -65,6 +66,7 @@ PEAK_SEARCH_MS = 10.0  # half-width of the peak search around each anchor
 PROMINENCE_FLOOR = 0.05  # of the global envelope maximum
 PHASE_SPAN_PERIODS = 0.125  # length of the phase read after each peak
 MIN_PHASE_MAGNITUDE = 0.25  # weaker phase averages abstain
+_PEAK_CHUNK_EPOCHS = 1024  # epoch windows gathered per argmax
 
 
 @dataclass(frozen=True)
@@ -89,25 +91,51 @@ class HpConfig:
 def select_he_peaks(env: EnvelopeSeries, epochs: EpochList) -> np.ndarray:
     """Envelope maxima near the anchor instants.
 
-    For each epoch the envelope argmax within +-``PEAK_SEARCH_MS`` is taken,
-    kept only if it reaches ``PROMINENCE_FLOOR`` times the global envelope
-    maximum; duplicates collapse to one index and the result is ascending.
+    For each epoch the envelope argmax within +-``PEAK_SEARCH_MS`` is taken
+    (the first of equal maxima; the window is cut off at either end of the
+    envelope), kept only if it reaches ``PROMINENCE_FLOOR`` times the
+    global envelope maximum; duplicates collapse to one index and the
+    result is ascending.  Epochs at or beyond the envelope's end are
+    rejected.
+
+    The windows are rows of a strided view of the envelope padded with
+    ``-inf``, so the cut-off windows need no special case; they are
+    gathered ``_PEAK_CHUNK_EPOCHS`` epochs at a time, which bounds the
+    temporary copy.
     """
     if env.sample_rate_hz != epochs.sample_rate_hz:
         raise InvalidInputError("envelope and epochs must share a sample rate")
     values = env.values
-    if values.size == 0 or len(epochs) == 0:
+    if len(epochs) == 0:
         return np.empty(0, dtype=np.int64)
+    if epochs.indices[-1] >= values.size:
+        raise InvalidInputError(
+            f"epoch index {epochs.indices[-1]} beyond the envelope's {values.size} samples")
     half = int(round(PEAK_SEARCH_MS * env.sample_rate_hz / 1000.0))
     floor = PROMINENCE_FLOOR * float(values.max())
-    picked = set()
-    for e in epochs.indices:
-        lo = max(0, int(e) - half)
-        hi = min(values.size, int(e) + half + 1)
-        k = lo + int(np.argmax(values[lo:hi]))
-        if values[k] >= floor:
-            picked.add(k)
-    return np.asarray(sorted(picked), dtype=np.int64)
+    pad = np.full(half, -np.inf)
+    windows = sliding_window_view(np.concatenate([pad, values, pad]), 2 * half + 1)
+    # row e of the padded view is the window centred on envelope sample e
+    peaks = epochs.indices - half
+    for c in range(0, peaks.size, _PEAK_CHUNK_EPOCHS):
+        chunk = epochs.indices[c:c + _PEAK_CHUNK_EPOCHS]
+        peaks[c:c + _PEAK_CHUNK_EPOCHS] += np.argmax(windows[chunk], axis=1)
+    return np.unique(peaks[values[peaks] >= floor])
+
+
+def _phase_reads(phase: PhaseSeries, peaks: np.ndarray, pitch_hz: float) -> np.ndarray:
+    # np.mean(v[p:p + span + 1]) per peak: one row mean where the slice is
+    # whole (the same pairwise sum and division), a slice where the end of
+    # the series cuts it short.
+    v = phase.values
+    width = int(round(PHASE_SPAN_PERIODS * phase.sample_rate_hz / pitch_hz)) + 1
+    means = np.empty(peaks.size)
+    whole = peaks <= v.size - width
+    if whole.any():
+        means[whole] = sliding_window_view(v, width)[peaks[whole]].mean(axis=1)
+    for i in np.flatnonzero(~whole):
+        means[i] = np.mean(v[peaks[i]:])
+    return means
 
 
 def phase_sign_at_peak(phase: PhaseSeries, peak_idx: int,
@@ -116,16 +144,16 @@ def phase_sign_at_peak(phase: PhaseSeries, peak_idx: int,
 
     The phase is averaged from the peak over the following
     ``PHASE_SPAN_PERIODS`` periods of ``pitch_hz`` (the early closed phase
-    when the peak sits on a glottal closure).  Averages weaker than
-    ``MIN_PHASE_MAGNITUDE`` abstain.
+    when the peak sits on a glottal closure), or up to the end of the
+    series if that comes first.  Averages weaker than
+    ``MIN_PHASE_MAGNITUDE`` abstain.  ``detect_polarity_hp`` makes this
+    same read for all its peaks at once.
     """
-    v = phase.values
-    if not (0 <= peak_idx < v.size):
+    if not (0 <= peak_idx < len(phase)):
         raise InvalidInputError(f"peak index {peak_idx} out of range")
     if not pitch_hz > 0.0:
         raise InvalidInputError(f"pitch_hz must be positive, got {pitch_hz}")
-    span = int(round(PHASE_SPAN_PERIODS * phase.sample_rate_hz / pitch_hz))
-    value = float(np.mean(v[peak_idx:peak_idx + span + 1]))
+    value = float(_phase_reads(phase, np.array([peak_idx]), pitch_hz)[0])
     if abs(value) < MIN_PHASE_MAGNITUDE:
         return 0
     return int(np.sign(value))
@@ -154,13 +182,9 @@ def detect_polarity_hp(s: Signal, zcfg: ZffConfig | None = None,
     positive = negative = 0
     if peaks.size:
         flow = glottal_flow_estimate(band, LpConfig(order=HP_RESIDUAL_ORDER), mean_pitch_hz=pitch)
-        phase = cosine_phase(analytic_signal(flow))
-        for p in peaks:
-            vote = phase_sign_at_peak(phase, int(p), pitch)
-            if vote > 0:
-                positive += 1
-            elif vote < 0:
-                negative += 1
+        means = _phase_reads(cosine_phase(analytic_signal(flow)), peaks, pitch)
+        positive = int(np.count_nonzero(means >= MIN_PHASE_MAGNITUDE))
+        negative = int(np.count_nonzero(means <= -MIN_PHASE_MAGNITUDE))
 
     total = positive + negative
     if total < hcfg.min_votes or positive == negative:

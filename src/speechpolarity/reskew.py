@@ -35,6 +35,7 @@ LP_HOP_MS = 5.0
 RESIDUAL_SMOOTH_HZ = 800.0
 INTEGRATION_PERIODS = 2.0
 DETREND_PERIODS = 1.2
+_OLA_CHUNK_FRAMES = 1024  # filtered frames held at once for the overlap-add
 
 
 @dataclass(frozen=True)
@@ -94,17 +95,35 @@ def levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, err, ok
 
 
+def _overlap_add(acc: np.ndarray, rows: np.ndarray, first: int, hop: int) -> None:
+    # acc[(first + f) * hop + j] += rows[f, j], one hop-sized block of all
+    # rows at a time.  Blocks go from the rows' last to their first, so each
+    # sample takes the rows that cover it oldest first, as a loop over the
+    # rows would.  acc needs hop samples beyond the last row's end.
+    count, frame = rows.shape
+    for d in range((frame - 1) // hop, -1, -1):
+        block = rows[:, d * hop:(d + 1) * hop]
+        start = (first + d) * hop
+        acc[start:start + count * hop].reshape(count, hop)[:, :block.shape[1]] += block
+
+
 def lp_residual(s: Signal, cfg: LpConfig | None = None) -> Signal:
     """Inverse-filter the signal with per-frame autocorrelation LP coefficients.
 
     Coefficients come from Hamming-windowed frames; the un-windowed frame
     samples are inverse-filtered and recombined by overlap-add with the same
     window as weight, normalized so every sample has total weight one.
+    Frames start every hop; when the hops leave the last samples uncovered,
+    one more frame ends at the signal's end.
     The filtered frames are strided views of the signal, not copies; only
     the windowed frames behind the lags are copied, and they are freed once
     the lags are computed.  Each frame's FIR runs through ``np.convolve``,
-    the same arithmetic as ``lfilter``'s FIR path, so the residual matches a
-    per-frame ``lfilter`` loop bit for bit.
+    the same arithmetic as ``lfilter``'s FIR path.  The filtered frames are
+    windowed and overlap-added ``_OLA_CHUNK_FRAMES`` at a time, in hop-sized
+    blocks that add the frames covering a sample oldest first, and the
+    off-grid last frame is added last.  These are the additions of a
+    per-frame loop in its order, so the residual matches a per-frame
+    ``lfilter`` loop bit for bit.
     Zero-energy frames contribute a zero residual; a frame whose Levinson
     recursion breaks down falls back to the previous healthy frame's
     coefficients, or to the identity filter before the first healthy frame.
@@ -114,15 +133,17 @@ def lp_residual(s: Signal, cfg: LpConfig | None = None) -> Signal:
     x = s.samples
     frame = int(round(LP_FRAME_MS * fs / 1000.0))
     hop = int(round(LP_HOP_MS * fs / 1000.0))
+    if hop < 1:
+        raise InvalidInputError(f"sample rate {fs} Hz is too low for {LP_HOP_MS:g} ms LP hops")
     if x.size < 2 * frame:
         raise InvalidInputError(
             f"signal too short for LP analysis: {x.size} samples < 2 frames ({2 * frame})")
     order = cfg.resolved_order(fs)
 
-    starts = list(range(0, x.size - frame + 1, hop))
+    grid = (x.size - frame) // hop + 1  # frames on the hop grid
+    starts = np.arange(grid) * hop
     if starts[-1] + frame < x.size:
-        starts.append(x.size - frame)
-    starts = np.asarray(starts)
+        starts = np.append(starts, x.size - frame)
     window = np.hamming(frame)
 
     frames = sliding_window_view(x, frame)
@@ -140,14 +161,20 @@ def lp_residual(s: Signal, cfg: LpConfig | None = None) -> Signal:
     last_ok = np.maximum.accumulate(np.where(ok, np.arange(1, len(starts) + 1), 0))
     coeffs = np.concatenate([identity, coeffs])[last_ok]
 
-    out = np.zeros(x.size)
-    weight = np.zeros(x.size)
-    for f, k in enumerate(starts):
-        res = np.convolve(coeffs[f], frames[k])[:frame]
-        out[k:k + frame] += res * window
-        weight[k:k + frame] += window
-    weight[weight == 0.0] = 1.0
-    return Signal(out / weight, fs)
+    out = np.zeros(x.size + hop)
+    weight = np.zeros(x.size + hop)
+    for first in range(0, grid, _OLA_CHUNK_FRAMES):
+        rows = np.empty((min(_OLA_CHUNK_FRAMES, grid - first), frame))
+        for i, f in enumerate(range(first, first + len(rows))):
+            rows[i] = np.convolve(coeffs[f], frames[f * hop])[:frame]
+        rows *= window
+        _overlap_add(out, rows, first, hop)
+        _overlap_add(weight, np.broadcast_to(window, rows.shape), first, hop)
+    if len(starts) > grid:
+        out[x.size - frame:x.size] += np.convolve(coeffs[-1], frames[-1])[:frame] * window
+        weight[x.size - frame:x.size] += window
+    # every sample lies in a frame, and the Hamming window is positive
+    return Signal(out[:x.size] / weight[:x.size], fs)
 
 
 def skewness(x) -> float:

@@ -9,6 +9,8 @@ from speechpolarity import (EnvelopeSeries, EpochList, HpConfig, InvalidInputErr
                             generate_utterance, generate_utterance_with_instants,
                             hilbert_envelope, phase_sign_at_peak, select_he_peaks,
                             zff_filter)
+from speechpolarity.hilbert_phase import (MIN_PHASE_MAGNITUDE, PEAK_SEARCH_MS,
+                                          PHASE_SPAN_PERIODS, PROMINENCE_FLOOR, _phase_reads)
 
 FS = 16000
 
@@ -206,3 +208,89 @@ class TestFormantOnLowHarmonic:
                 assert d.polarity is base.polarity
                 assert (d.positive_votes, d.negative_votes) == \
                     (base.positive_votes, base.negative_votes)
+
+
+def reference_select_he_peaks(env: EnvelopeSeries, epochs: EpochList) -> np.ndarray:
+    """One argmax per epoch over its window, cut off at the envelope's ends."""
+    values = env.values
+    half = int(round(PEAK_SEARCH_MS * env.sample_rate_hz / 1000.0))
+    floor = PROMINENCE_FLOOR * float(values.max())
+    picked = set()
+    for e in epochs.indices:
+        lo = max(0, int(e) - half)
+        hi = min(values.size, int(e) + half + 1)
+        k = lo + int(np.argmax(values[lo:hi]))
+        if values[k] >= floor:
+            picked.add(k)
+    return np.asarray(sorted(picked), dtype=np.int64)
+
+
+class TestSelectHePeaksMatchesLoop:
+    @staticmethod
+    def envelopes(n, rng):
+        yield rng.random(n)
+        yield rng.integers(0, 4, n).astype(float)  # ties everywhere
+        yield np.repeat(rng.integers(0, 3, n // 50 + 1), 50)[:n].astype(float)  # plateaus
+        yield np.zeros(n)
+
+    @pytest.mark.parametrize("fs", (8000, 16000, 48000))
+    def test_matches_per_epoch_argmax(self, fs):
+        rng = np.random.default_rng(fs)
+        half = int(round(PEAK_SEARCH_MS * fs / 1000.0))
+        n = 20 * half
+        near_ends = [0, 1, half - 1, half, half + 1, n - half - 1, n - half, n - half + 1, n - 2,
+                     n - 1]
+        for values in self.envelopes(n, rng):
+            env = EnvelopeSeries(values, fs)
+            for indices in (near_ends, np.sort(rng.choice(n, 40, replace=False)), np.arange(n)):
+                epochs = EpochList(np.unique(indices), fs)
+                got = select_he_peaks(env, epochs)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, reference_select_he_peaks(env, epochs))
+
+    def test_epochs_beyond_the_envelope_rejected(self):
+        # both [n, n + half), where a window would be cut short, and n + half on, where it is empty
+        half = int(round(PEAK_SEARCH_MS * FS / 1000.0))
+        n = 1000
+        env = EnvelopeSeries(np.ones(n), FS)
+        for offset in (0, 1, half - 1, half, half + 5):
+            with pytest.raises(InvalidInputError):
+                select_he_peaks(env, EpochList(np.array([10, n + offset]), FS))
+        assert select_he_peaks(env, EpochList(np.array([10, n - 1]), FS)).size > 0
+
+
+class TestBatchedPhaseReads:
+    @staticmethod
+    def reference(values, peaks, span):
+        return np.array([np.mean(values[p:p + span + 1]) for p in peaks])
+
+    def test_matches_per_peak_mean_bitwise(self):
+        rng = np.random.default_rng(91)
+        for span in (0, 1, 2, 7, 8, 15, 16, 31, 75, 128, 150):
+            pitch = PHASE_SPAN_PERIODS * FS / span if span else 1e9
+            assert int(round(PHASE_SPAN_PERIODS * FS / pitch)) == span
+            values = np.clip(rng.standard_normal(600), -1.0, 1.0)
+            # every peak whose read runs past the end, plus random ones before
+            peaks = np.unique(np.concatenate([rng.choice(600, 30), np.arange(600 - span - 2, 600)]))
+            peaks = peaks[peaks >= 0]
+            got = _phase_reads(PhaseSeries(values, FS), peaks, pitch)
+            assert got.tobytes() == self.reference(values, peaks, span).tobytes()
+
+    def test_read_longer_than_series(self):
+        values = np.linspace(-1.0, 1.0, 9)
+        peaks = np.arange(9)
+        got = _phase_reads(PhaseSeries(values, FS), peaks, 100.0)
+        assert got.tobytes() == self.reference(values, peaks, 20).tobytes()
+
+    def test_no_peaks(self):
+        got = _phase_reads(PhaseSeries(np.zeros(100), FS), np.empty(0, dtype=np.int64), 120.0)
+        assert got.shape == (0,)
+
+    def test_single_reads_agree_with_batch(self):
+        rng = np.random.default_rng(92)
+        values = np.clip(1.5 * rng.standard_normal(500), -1.0, 1.0)
+        phase = PhaseSeries(values, FS)
+        peaks = np.arange(0, 500, 3)
+        means = _phase_reads(phase, peaks, 150.0)
+        expected = np.where(np.abs(means) < MIN_PHASE_MAGNITUDE, 0, np.sign(means)).astype(int)
+        assert [phase_sign_at_peak(phase, int(p), 150.0) for p in peaks] == expected.tolist()

@@ -1,0 +1,44 @@
+"""Antisymmetry and power-of-two scale invariance of both detectors on random voiced inputs."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from speechpolarity import (Polarity, Signal, SynthSpec, detect_polarity_hp,
+                            detect_polarity_reskew, generate_utterance)
+
+DETECTORS = (detect_polarity_hp, detect_polarity_reskew)
+
+voiced = st.builds(
+    SynthSpec,
+    pitch_hz=st.floats(80.0, 300.0),
+    duration_s=st.floats(0.3, 1.2),
+    sample_rate_hz=st.sampled_from((8000, 16000, 48000)),
+    polarity=st.sampled_from((Polarity.POSITIVE, Polarity.NEGATIVE)),
+    jitter_pct=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+property_settings = settings(derandomize=True, deadline=None, database=None)
+
+
+@property_settings
+@given(spec=voiced)
+def test_negation_flips_decision_and_swaps_votes(spec):
+    s = generate_utterance(spec)
+    for detect in DETECTORS:
+        d, dn = detect(s), detect(s.negated())
+        assert dn.polarity is d.polarity.flipped()
+        assert (dn.positive_votes, dn.negative_votes) == (d.negative_votes, d.positive_votes)
+        assert dn.anchors_used == d.anchors_used
+        assert (dn.statistic is None) == (d.statistic is None)
+        if d.statistic is not None:
+            assert dn.statistic == -d.statistic
+
+
+@property_settings
+@given(spec=voiced, k=st.integers(-300, 300))
+def test_power_of_two_scaling_changes_nothing(spec, k):
+    s = generate_utterance(spec)
+    scaled = Signal(np.ldexp(s.samples, k), s.sample_rate_hz)
+    for detect in DETECTORS:
+        assert detect(scaled) == detect(s)

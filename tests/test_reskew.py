@@ -105,6 +105,11 @@ class TestLpResidual:
         with pytest.raises(InvalidInputError):
             lp_residual(Signal(np.ones(300), FS))
 
+    def test_rate_below_one_sample_per_hop_rejected(self):
+        for fs in (50, 100):
+            with pytest.raises(InvalidInputError):
+                lp_residual(Signal(np.ones(400), fs))
+
     def test_silence_gives_zeros(self):
         res = lp_residual(Signal(np.zeros(FS), FS))
         assert not res.samples.any()
@@ -139,6 +144,25 @@ class TestLpResidual:
                   np.concatenate([1e200 * x[:n], x[n:2 * n], 1e200 * x[2 * n:]])):
             s = Signal(y, fs)
             assert lp_residual(s, cfg).samples.tobytes() == reference_lp_residual(s, cfg).tobytes()
+
+    @pytest.mark.parametrize("fs", (11025, 22050, 44100))
+    def test_matches_reference_where_frame_is_off_the_hop_grid(self, fs):
+        # frame/hop = 276/55, 551/110 and 1102/220 samples: no whole number of hops.
+        # Lengths cut short of the hop grid take the extra last frame; 6 s is
+        # 1,200 frames, more than one overlap-add chunk.
+        frame = int(round(LP_FRAME_MS * fs / 1000.0))
+        hop = int(round(LP_HOP_MS * fs / 1000.0))
+        assert frame % hop
+        x = generate_utterance(SynthSpec(pitch_hz=140.0, sample_rate_hz=fs, seed=17)).samples
+        on_grid = frame + (x.size - frame) // hop * hop
+        long = generate_utterance(SynthSpec(pitch_hz=110.0, duration_s=6.0, sample_rate_hz=fs,
+                                            seed=18)).samples
+        for order in (None, 8):
+            cfg = LpConfig(order=order)
+            for y in (x[:on_grid], x[:on_grid - 1], x[:on_grid - 7], x[:on_grid - hop + 1], long,
+                      long[:-1]):
+                s = Signal(y, fs)
+                assert lp_residual(s, cfg).samples.tobytes() == reference_lp_residual(s, cfg).tobytes()
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
