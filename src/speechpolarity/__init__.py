@@ -9,13 +9,13 @@ harness round out the package.
 """
 
 from .calibrate import CalibrationResult, calibrate
-from .dsp import analytic_signal, cosine_phase, default_phase_eps, hilbert_envelope, hilbert_transform
-from .epochs import ZffConfig, estimate_mean_pitch, extract_epochs, zff_filter
+from .dsp import analytic_signal, cosine_phase, hilbert_envelope, hilbert_transform
+from .epochs import estimate_mean_pitch, extract_epochs, zff_filter
 from .harness import (CorpusManifest, EvalReport, ManifestEntry, MethodTally, TrialRecord,
                       evaluate_corpus, load_wav, parse_manifest, render_report, save_wav)
-from .hilbert_phase import HpConfig, detect_polarity_hp, phase_sign_at_peak, select_he_peaks
-from .reskew import (LpConfig, detect_polarity_reskew, glottal_flow_estimate, levinson,
-                     lp_residual, reskew_statistic, skewness)
+from .hilbert_phase import detect_polarity_hp, select_he_peaks
+from .reskew import (detect_polarity_reskew, glottal_flow_estimate, levinson, lp_residual,
+                     reskew_statistic, skewness)
 from .synth import (NoiseSpec, SynthSpec, generate_utterance, generate_utterance_with_instants,
                     mix_noise)
 from .types import (AnalyticSignal, EnvelopeSeries, EpochList, InvalidInputError, PhaseSeries,
@@ -25,13 +25,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticSignal", "CalibrationResult", "CorpusManifest", "EnvelopeSeries", "EpochList",
-    "EvalReport", "HpConfig", "InvalidInputError", "LpConfig", "ManifestEntry", "MethodTally",
-    "NoiseSpec", "PhaseSeries", "Polarity", "PolarityDecision", "Signal", "SynthSpec",
-    "TrialRecord", "UndefinedStatisticError", "ZffConfig", "analytic_signal", "calibrate",
-    "cosine_phase", "default_phase_eps", "detect_polarity_hp", "detect_polarity_reskew",
-    "estimate_mean_pitch", "evaluate_corpus", "extract_epochs", "generate_utterance",
-    "generate_utterance_with_instants", "glottal_flow_estimate", "hilbert_envelope",
-    "hilbert_transform", "levinson", "load_wav", "lp_residual", "mix_noise", "parse_manifest",
-    "phase_sign_at_peak", "render_report", "reskew_statistic", "save_wav", "select_he_peaks",
-    "skewness", "zff_filter",
+    "EvalReport", "InvalidInputError", "ManifestEntry", "MethodTally", "NoiseSpec", "PhaseSeries",
+    "Polarity", "PolarityDecision", "Signal", "SynthSpec", "TrialRecord",
+    "UndefinedStatisticError", "analytic_signal", "calibrate", "cosine_phase",
+    "detect_polarity_hp", "detect_polarity_reskew", "estimate_mean_pitch", "evaluate_corpus",
+    "extract_epochs", "generate_utterance", "generate_utterance_with_instants",
+    "glottal_flow_estimate", "hilbert_envelope", "hilbert_transform", "levinson", "load_wav",
+    "lp_residual", "mix_noise", "parse_manifest", "render_report", "reskew_statistic", "save_wav",
+    "select_he_peaks", "skewness", "zff_filter",
 ]

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .calibrate import calibrate
-from .config import build_configs, parse_config_file
 from .harness import METHODS, evaluate_corpus, load_wav, parse_manifest, render_report, save_wav
 from .synth import NoiseSpec, SynthSpec, generate_utterance
 from .types import InvalidInputError, Polarity, UndefinedStatisticError
@@ -39,6 +38,14 @@ def _snr_levels(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated dB values, got {text!r}") from None
 
 
+def _method_list(text: str) -> tuple[str, ...]:
+    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not methods or any(m not in METHODS for m in methods):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated subset of {','.join(METHODS)}, got {text!r}")
+    return methods
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="speechpolarity",
                      description="Polarity detection for speech and EGG recordings")
@@ -48,18 +55,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("file")
     p_detect.add_argument("--method", choices=(*METHODS, "both"), default="both")
     p_detect.add_argument("--json", action="store_true", help="machine-readable output")
-    p_detect.add_argument("--config", help="key = value config file")
 
     p_eval = sub.add_parser("eval", help="evaluate a corpus manifest")
     p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--methods", default=",".join(METHODS),
+    p_eval.add_argument("--methods", type=_method_list, default=tuple(METHODS),
                         help=f"comma-separated subset of {','.join(METHODS)}")
     p_eval.add_argument("--snr", type=_snr_levels,
                         help="comma-separated SNR levels in dB for a noise sweep")
     p_eval.add_argument("--noise", default="white", help="white, pink, or file:<path>")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out", help="write report to .csv or .json (default: table to stdout)")
-    p_eval.add_argument("--config", help="key = value config file")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic utterance of known polarity")
     p_synth.add_argument("--pitch", type=float, required=True)
@@ -74,16 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_configs(path: str | None):
-    overrides = parse_config_file(path) if path else None
-    return build_configs(overrides)
-
-
 def _cmd_detect(args) -> int:
-    zcfg, hcfg, lcfg = _load_configs(args.config)
     signal = load_wav(args.file)
     methods = tuple(METHODS) if args.method == "both" else (args.method,)
-    decisions = {m: METHODS[m](signal, zcfg, hcfg, lcfg) for m in methods}
+    decisions = {m: METHODS[m](signal) for m in methods}
     if args.json:
         payload = {
             "file": args.file,
@@ -108,14 +107,11 @@ def _parse_noise(noise_arg: str, snr_db: float, seed: int) -> NoiseSpec:
 
 
 def _cmd_eval(args) -> int:
-    zcfg, hcfg, lcfg = _load_configs(args.config)
     manifest = parse_manifest(args.manifest)
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     sweep = None
     if args.snr:
         sweep = [_parse_noise(args.noise, snr, args.seed) for snr in args.snr]
-    report = evaluate_corpus(manifest, methods=methods, noise_sweep=sweep,
-                             zcfg=zcfg, hcfg=hcfg, lcfg=lcfg)
+    report = evaluate_corpus(manifest, methods=args.methods, noise_sweep=sweep)
     if args.out:
         out = Path(args.out)
         fmt = out.suffix.lstrip(".").lower()

@@ -84,22 +84,17 @@ def hilbert_envelope(a: AnalyticSignal) -> EnvelopeSeries:
     return EnvelopeSeries(np.hypot(a.real, a.imag), a.sample_rate_hz)
 
 
-def default_phase_eps(envelope: np.ndarray) -> float:
-    """Guard against division by a zero envelope: 1e-12 of the peak, or 1 for silence."""
-    peak = float(envelope.max()) if envelope.size else 0.0
-    return 1e-12 * (peak if peak > 0.0 else 1.0)
-
-
 def cosine_phase(a: AnalyticSignal, eps: float | None = None) -> PhaseSeries:
     """Cosine of the instantaneous phase: real part over the envelope.
 
     Samples where the envelope falls below ``eps`` yield 0.  ``eps`` defaults
-    to a value proportional to the envelope peak so that the result does not
-    depend on the overall signal scale.
+    to 1e-12 of the envelope peak (1e-12 for silence) so that the result
+    does not depend on the overall signal scale.
     """
     env = np.hypot(a.real, a.imag)
     if eps is None:
-        eps = default_phase_eps(env)
+        peak = float(env.max()) if env.size else 0.0
+        eps = 1e-12 * (peak if peak > 0.0 else 1.0)
     if eps <= 0.0:
         raise InvalidInputError(f"eps must be positive, got {eps}")
     values = a.real / np.maximum(env, eps)

@@ -9,8 +9,6 @@ for a signal and its negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -30,24 +28,6 @@ PITCH_MIN_VOICED_FRAMES = 5
 PITCH_FALLBACK_HZ = 120.0  # returned when too few frames are voiced
 
 ZFF_TREND_PASSES = 3
-
-
-@dataclass(frozen=True)
-class ZffConfig:
-    """The one setting of the ZFF stage: the trend-removal window.
-
-    ``trend_window_ms = None`` sizes the window automatically to 1.5 mean
-    pitch periods, clamped to [3, 25] ms.  The number of trend passes is the
-    module constant ``ZFF_TREND_PASSES`` and the unvoiced fallback pitch is
-    ``PITCH_FALLBACK_HZ``.
-    """
-
-    trend_window_ms: float | None = None
-
-    def __post_init__(self):
-        if self.trend_window_ms is not None and not (1.0 <= self.trend_window_ms <= 50.0):
-            raise InvalidInputError(
-                f"trend_window_ms must lie in [1, 50] ms, got {self.trend_window_ms}")
 
 
 def estimate_mean_pitch(s: Signal) -> float:
@@ -91,8 +71,7 @@ def estimate_mean_pitch(s: Signal) -> float:
     return float(np.mean(pitches))
 
 
-def zff_filter(s: Signal, cfg: ZffConfig | None = None,
-               mean_pitch_hz: float | None = None) -> Signal:
+def zff_filter(s: Signal, mean_pitch_hz: float | None = None) -> Signal:
     """Zero-frequency filter: difference, double resonator pass, trend removal.
 
     The input is differenced, passed twice through the zero-frequency
@@ -101,16 +80,14 @@ def zff_filter(s: Signal, cfg: ZffConfig | None = None,
     trend is removed by subtracting the local mean ``ZFF_TREND_PASSES`` times.
     The outermost two trend windows are zeroed: the truncated-window mean
     cannot track the polynomial growth right at the boundaries, and anchors
-    that close to the edges are of no use downstream.  The automatic trend
-    window uses ``mean_pitch_hz`` when given, else estimates it from ``s``.
+    that close to the edges are of no use downstream.  The trend window is
+    1.5 mean pitch periods, clamped to [3, 25] ms; the pitch is
+    ``mean_pitch_hz`` when given, else estimated from ``s``.
     """
-    cfg = cfg or ZffConfig()
     fs = s.sample_rate_hz
-    window_ms = cfg.trend_window_ms
-    if window_ms is None:
-        if mean_pitch_hz is None:
-            mean_pitch_hz = estimate_mean_pitch(s)
-        window_ms = float(np.clip(1.5 * 1000.0 / mean_pitch_hz, 3.0, 25.0))
+    if mean_pitch_hz is None:
+        mean_pitch_hz = estimate_mean_pitch(s)
+    window_ms = float(np.clip(1.5 * 1000.0 / mean_pitch_hz, 3.0, 25.0))
     width = int(round(window_ms * fs / 1000.0))
     if width % 2 == 0:
         width += 1

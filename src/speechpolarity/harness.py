@@ -19,18 +19,15 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .hilbert_phase import HpConfig, detect_polarity_hp
-from .reskew import LpConfig, detect_polarity_reskew
-from .epochs import ZffConfig
+from .hilbert_phase import detect_polarity_hp
+from .reskew import detect_polarity_reskew
 from .synth import NoiseSpec, mix_noise
 from .types import InvalidInputError, Polarity, Signal
 
-# Method name -> detector(signal, zcfg, hcfg, lcfg).  The detectors are
-# looked up by name at call time, so rebinding a module attribute reaches
-# every caller.
+# Lambdas look the detectors up at call time, so a rebound module attribute reaches every caller.
 METHODS = {
-    "hp": lambda s, zcfg, hcfg, lcfg: detect_polarity_hp(s, zcfg=zcfg, hcfg=hcfg),
-    "reskew": lambda s, zcfg, hcfg, lcfg: detect_polarity_reskew(s, cfg=lcfg),
+    "hp": lambda s: detect_polarity_hp(s),
+    "reskew": lambda s: detect_polarity_reskew(s),
 }
 KINDS = ("speech", "egg")
 
@@ -156,9 +153,7 @@ class EvalReport:
     consistency_failures: list = field(default_factory=list)
 
 
-def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS),
-                    noise_sweep=None, zcfg: ZffConfig | None = None,
-                    hcfg: HpConfig | None = None, lcfg: LpConfig | None = None) -> EvalReport:
+def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_sweep=None) -> EvalReport:
     """Run the double-orientation protocol over a manifest.
 
     ``noise_sweep`` is an optional sequence of NoiseSpec; each trial is then
@@ -213,7 +208,7 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS),
                     decision, error = None, base_error
                     if sig is not None:
                         try:
-                            decision = METHODS[m](sig, zcfg, hcfg, lcfg)
+                            decision = METHODS[m](sig)
                         except Exception as exc:  # recorded, not raised
                             error = str(exc)
                     ok = decision is not None and decision.polarity is expected

@@ -27,25 +27,22 @@ approximation are what make the votes indifferent to the formant
 configuration and to broadband noise; the vote logic itself reads the
 analytic-signal phase at envelope peaks.
 
-The method is one fixed pipeline: the band edges, the peak search, the
-span and the abstention level of the phase read are module constants
+The method is one fixed pipeline with nothing settable: the band edges,
+the peak search, the span and the abstention level of the phase read, and
+the vote count below which the detector abstains are module constants
 (``BAND_LOW_HZ``, ``BAND_HIGH_HZ``, ``PEAK_SEARCH_MS``, ``PROMINENCE_FLOOR``,
-``PHASE_SPAN_PERIODS``, ``MIN_PHASE_MAGNITUDE``).  Only the vote count
-below which the detector abstains, ``HpConfig.min_votes``, is settable.
+``PHASE_SPAN_PERIODS``, ``MIN_PHASE_MAGNITUDE``, ``MIN_VOTES``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, filtfilt
 
 from .dsp import analytic_signal, cosine_phase, hilbert_envelope
-from .epochs import PITCH_FALLBACK_HZ, ZffConfig, estimate_mean_pitch, extract_epochs, zff_filter
-from .reskew import LpConfig, glottal_flow_estimate
+from .epochs import estimate_mean_pitch, extract_epochs, zff_filter
+from .reskew import glottal_flow_estimate
 from .types import (EnvelopeSeries, EpochList, InvalidInputError, PhaseSeries, Polarity,
                     PolarityDecision, Signal, detector_input)
 
@@ -66,26 +63,8 @@ PEAK_SEARCH_MS = 10.0  # half-width of the peak search around each anchor
 PROMINENCE_FLOOR = 0.05  # of the global envelope maximum
 PHASE_SPAN_PERIODS = 0.125  # length of the phase read after each peak
 MIN_PHASE_MAGNITUDE = 0.25  # weaker phase averages abstain
+MIN_VOTES = 3  # fewer non-abstaining votes, or a tie, is indeterminate
 _PEAK_CHUNK_EPOCHS = 1024  # epoch windows gathered per argmax
-
-
-@dataclass(frozen=True)
-class HpConfig:
-    """The one detector setting: the abstention threshold.
-
-    With fewer than ``min_votes`` non-abstaining votes, or a tie, the
-    decision is indeterminate.  The vote majority maps onto a polarity
-    through the module constant ``VOTE_SIGN_FOR_POSITIVE`` (see
-    ``calibrate``).  The band, peak and phase-read settings are the module
-    constants ``BAND_LOW_HZ``, ``BAND_HIGH_HZ``, ``PEAK_SEARCH_MS``,
-    ``PROMINENCE_FLOOR``, ``PHASE_SPAN_PERIODS`` and ``MIN_PHASE_MAGNITUDE``.
-    """
-
-    min_votes: int = 3
-
-    def __post_init__(self):
-        if not (isinstance(self.min_votes, Integral) and self.min_votes >= 1):
-            raise InvalidInputError(f"min_votes must be a positive integer, got {self.min_votes}")
 
 
 def select_he_peaks(env: EnvelopeSeries, epochs: EpochList) -> np.ndarray:
@@ -138,27 +117,6 @@ def _phase_reads(phase: PhaseSeries, peaks: np.ndarray, pitch_hz: float) -> np.n
     return means
 
 
-def phase_sign_at_peak(phase: PhaseSeries, peak_idx: int,
-                       pitch_hz: float = PITCH_FALLBACK_HZ) -> int:
-    """Sign of the cosine phase just after the peak; 0 when too weak to trust.
-
-    The phase is averaged from the peak over the following
-    ``PHASE_SPAN_PERIODS`` periods of ``pitch_hz`` (the early closed phase
-    when the peak sits on a glottal closure), or up to the end of the
-    series if that comes first.  Averages weaker than
-    ``MIN_PHASE_MAGNITUDE`` abstain.  ``detect_polarity_hp`` makes this
-    same read for all its peaks at once.
-    """
-    if not (0 <= peak_idx < len(phase)):
-        raise InvalidInputError(f"peak index {peak_idx} out of range")
-    if not pitch_hz > 0.0:
-        raise InvalidInputError(f"pitch_hz must be positive, got {pitch_hz}")
-    value = float(_phase_reads(phase, np.array([peak_idx]), pitch_hz)[0])
-    if abs(value) < MIN_PHASE_MAGNITUDE:
-        return 0
-    return int(np.sign(value))
-
-
 def _band_limit(s: Signal) -> Signal:
     # detector_input requires fs >= 1 kHz, so the upper edge is at least 475 Hz
     nyq = s.sample_rate_hz / 2.0
@@ -167,27 +125,30 @@ def _band_limit(s: Signal) -> Signal:
     return Signal(filtfilt(b, a, s.samples), s.sample_rate_hz)
 
 
-def detect_polarity_hp(s: Signal, zcfg: ZffConfig | None = None,
-                       hcfg: HpConfig | None = None) -> PolarityDecision:
-    """Vote-based polarity decision; see the module docstring for the pipeline."""
-    hcfg = hcfg or HpConfig()
+def detect_polarity_hp(s: Signal) -> PolarityDecision:
+    """Vote-based polarity decision; see the module docstring for the pipeline.
+
+    With fewer than ``MIN_VOTES`` non-abstaining votes, or a tie, the
+    decision is indeterminate; otherwise the vote majority maps onto a
+    polarity through ``VOTE_SIGN_FOR_POSITIVE`` (see ``calibrate``).
+    """
     s = detector_input(s)
 
     band = _band_limit(s)
     pitch = estimate_mean_pitch(band)
-    epochs = extract_epochs(zff_filter(band, zcfg, mean_pitch_hz=pitch))
+    epochs = extract_epochs(zff_filter(band, mean_pitch_hz=pitch))
     derivative = Signal(np.gradient(band.samples), band.sample_rate_hz)
     peaks = select_he_peaks(hilbert_envelope(analytic_signal(derivative)), epochs)
 
     positive = negative = 0
     if peaks.size:
-        flow = glottal_flow_estimate(band, LpConfig(order=HP_RESIDUAL_ORDER), mean_pitch_hz=pitch)
+        flow = glottal_flow_estimate(band, HP_RESIDUAL_ORDER, mean_pitch_hz=pitch)
         means = _phase_reads(cosine_phase(analytic_signal(flow)), peaks, pitch)
         positive = int(np.count_nonzero(means >= MIN_PHASE_MAGNITUDE))
         negative = int(np.count_nonzero(means <= -MIN_PHASE_MAGNITUDE))
 
     total = positive + negative
-    if total < hcfg.min_votes or positive == negative:
+    if total < MIN_VOTES or positive == negative:
         polarity = Polarity.INDETERMINATE
     else:
         majority = 1 if positive > negative else -1

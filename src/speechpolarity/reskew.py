@@ -10,7 +10,6 @@ confuses waveform-level statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -38,28 +37,12 @@ DETREND_PERIODS = 1.2
 _OLA_CHUNK_FRAMES = 1024  # filtered frames held at once for the overlap-add
 
 
-@dataclass(frozen=True)
-class LpConfig:
-    """The one linear-prediction setting: the LP order.
-
-    ``order = None`` resolves to round(fs/1000) + 2, clamped to [4, 40].
-    ``detect_polarity_hp`` takes no LpConfig: it uses
-    ``order = HP_RESIDUAL_ORDER`` (8).  Frames and the glottal-flow
-    approximation are set by the module constants ``LP_FRAME_MS``,
-    ``LP_HOP_MS``, ``RESIDUAL_SMOOTH_HZ``, ``INTEGRATION_PERIODS`` and
-    ``DETREND_PERIODS``.
-    """
-
-    order: int | None = None
-
-    def __post_init__(self):
-        if self.order is not None and not (isinstance(self.order, Integral) and 4 <= self.order <= 40):
-            raise InvalidInputError(f"order must be an integer in [4, 40], got {self.order}")
-
-    def resolved_order(self, sample_rate_hz: int) -> int:
-        if self.order is not None:
-            return self.order
+def _lp_order(order: int | None, sample_rate_hz: int) -> int:
+    if order is None:
         return int(np.clip(round(sample_rate_hz / 1000.0) + 2, 4, 40))
+    if not (isinstance(order, Integral) and 4 <= order <= 40):
+        raise InvalidInputError(f"order must be an integer in [4, 40], got {order}")
+    return order
 
 
 def levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,9 +90,13 @@ def _overlap_add(acc: np.ndarray, rows: np.ndarray, first: int, hop: int) -> Non
         acc[start:start + count * hop].reshape(count, hop)[:, :block.shape[1]] += block
 
 
-def lp_residual(s: Signal, cfg: LpConfig | None = None) -> Signal:
+def lp_residual(s: Signal, order: int | None = None) -> Signal:
     """Inverse-filter the signal with per-frame autocorrelation LP coefficients.
 
+    The LP order is ``order``, an integer in [4, 40], or by default
+    round(fs/1000) + 2 clamped to [4, 40]; ``detect_polarity_hp`` passes
+    ``HP_RESIDUAL_ORDER`` (8).  Frame length and hop are the module
+    constants ``LP_FRAME_MS`` and ``LP_HOP_MS``.
     Coefficients come from Hamming-windowed frames; the un-windowed frame
     samples are inverse-filtered and recombined by overlap-add with the same
     window as weight, normalized so every sample has total weight one.
@@ -128,8 +115,8 @@ def lp_residual(s: Signal, cfg: LpConfig | None = None) -> Signal:
     recursion breaks down falls back to the previous healthy frame's
     coefficients, or to the identity filter before the first healthy frame.
     """
-    cfg = cfg or LpConfig()
     fs = s.sample_rate_hz
+    order = _lp_order(order, fs)
     x = s.samples
     frame = int(round(LP_FRAME_MS * fs / 1000.0))
     hop = int(round(LP_HOP_MS * fs / 1000.0))
@@ -138,7 +125,6 @@ def lp_residual(s: Signal, cfg: LpConfig | None = None) -> Signal:
     if x.size < 2 * frame:
         raise InvalidInputError(
             f"signal too short for LP analysis: {x.size} samples < 2 frames ({2 * frame})")
-    order = cfg.resolved_order(fs)
 
     grid = (x.size - frame) // hop + 1  # frames on the hop grid
     starts = np.arange(grid) * hop
@@ -193,20 +179,20 @@ def skewness(x) -> float:
     return float(m3 / denom)
 
 
-def glottal_flow_estimate(s: Signal, cfg: LpConfig | None = None,
+def glottal_flow_estimate(s: Signal, order: int | None = None,
                           mean_pitch_hz: float | None = None) -> Signal:
     """Rough glottal-flow approximation from the LP residual.
 
-    The residual is lowpass-smoothed (whitening ringing removed), leaky-
-    integrated over roughly ``INTEGRATION_PERIODS`` pitch periods, and
-    detrended with a centered moving average of ``DETREND_PERIODS`` pitch
-    periods so that integration drift and sub-pitch noise do not drown the
-    flow bumps.
+    The residual at LP order ``order`` (default: ``lp_residual``'s rule) is
+    lowpass-smoothed (whitening ringing removed), leaky-integrated over
+    roughly ``INTEGRATION_PERIODS`` pitch periods, and detrended with a
+    centered moving average of ``DETREND_PERIODS`` pitch periods so that
+    integration drift and sub-pitch noise do not drown the flow bumps.
     """
     fs = s.sample_rate_hz
     if mean_pitch_hz is None:
         mean_pitch_hz = estimate_mean_pitch(s)
-    e = lp_residual(s, cfg).samples
+    e = lp_residual(s, order).samples
 
     nyq = fs / 2.0
     cutoff = min(RESIDUAL_SMOOTH_HZ, 0.95 * nyq)
@@ -220,20 +206,20 @@ def glottal_flow_estimate(s: Signal, cfg: LpConfig | None = None,
     return Signal(g, fs)
 
 
-def reskew_statistic(s: Signal, cfg: LpConfig | None = None) -> float:
+def reskew_statistic(s: Signal) -> float:
     """Skewness of the glottal-flow approximation; positive for positive polarity.
 
     Odd under sample negation and invariant under positive rescaling.
     """
-    g = glottal_flow_estimate(s, cfg)
+    g = glottal_flow_estimate(s)
     return skewness(g.samples)
 
 
-def detect_polarity_reskew(s: Signal, cfg: LpConfig | None = None) -> PolarityDecision:
+def detect_polarity_reskew(s: Signal) -> PolarityDecision:
     """Decide polarity from the sign of the glottal-skewness statistic."""
     s = detector_input(s)
     try:
-        delta = reskew_statistic(s, cfg)
+        delta = reskew_statistic(s)
     except UndefinedStatisticError:
         return PolarityDecision(Polarity.INDETERMINATE, statistic=0.0)
     if abs(delta) < INDETERMINATE_BAND:

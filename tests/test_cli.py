@@ -1,26 +1,18 @@
-"""End-to-end CLI behaviour, including exit codes and config overrides."""
+"""End-to-end CLI behaviour, including exit codes, and the README's CLI and API lists."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+import speechpolarity
 from speechpolarity import Polarity, SynthSpec, generate_utterance, load_wav, save_wav
-from speechpolarity.cli import main
-from speechpolarity.config import build_configs, parse_config_file
+from speechpolarity.cli import _build_parser, main
 
 FS = 16000
 README = Path(__file__).resolve().parents[1] / "README.md"
-
-# Settings that are module constants now, with their values; a config file
-# that still sets one is rejected, not silently ignored.
-REMOVED_KEYS = (
-    "zff.trend_passes = 3", "zff.mean_pitch_fallback_hz = 120",
-    "hp.peak_search_ms = 10", "hp.prominence_floor = 0.05", "hp.min_phase_magnitude = 0.25",
-    "hp.phase_span_periods = 0.125", "hp.band_low_hz = 60", "hp.band_high_hz = 1600",
-    "lp.frame_ms = 25", "lp.hop_ms = 5", "lp.residual_smooth_hz = 800",
-    "lp.integration_periods = 2", "lp.detrend_periods = 1.2",
-)
 
 
 def write_utt(tmp_path, name, polarity, pitch=120.0, seed=1):
@@ -61,48 +53,34 @@ class TestDetect:
     def test_usage_error(self):
         assert main(["detect"]) == 64
 
-    def test_config_override(self, tmp_path):
+    def test_config_flag_removed(self, tmp_path, capsys):
         wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
         cfg = tmp_path / "conf.txt"
-        # more votes than a 0.6 s utterance has anchors: the decision must abstain
-        cfg.write_text("hp.min_votes = 1000\n", encoding="utf-8")
-        assert main(["detect", str(wav), "--method", "hp", "--config", str(cfg)]) == 2
-
-    def test_bad_config_data_error(self, tmp_path):
-        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
-        cfg = tmp_path / "conf.txt"
-        cfg.write_text("hp.not_a_field = 1\n", encoding="utf-8")
-        assert main(["detect", str(wav), "--config", str(cfg)]) == 65
-
-    @pytest.mark.parametrize("line", ["lp.order = 8.5", "hp.min_votes = 2.5"])
-    def test_non_integer_config_data_error(self, tmp_path, line):
-        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
-        cfg = tmp_path / "conf.txt"
-        cfg.write_text(line + "\n", encoding="utf-8")
-        assert main(["detect", str(wav), "--config", str(cfg)]) == 65
-
-    @pytest.mark.parametrize("line", REMOVED_KEYS)
-    def test_removed_key_is_unknown_option(self, tmp_path, capsys, line):
-        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
-        cfg = tmp_path / "conf.txt"
-        cfg.write_text(line + "\n", encoding="utf-8")
-        assert main(["detect", str(wav), "--config", str(cfg)]) == 65
-        key = line.split("=")[0].strip()
-        assert f"unknown option {key}" in capsys.readouterr().err
+        cfg.write_text("hp.min_votes = 5\n", encoding="utf-8")
+        assert main(["detect", str(wav), "--config", str(cfg)]) == 64
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
-class TestConfigFile:
-    def test_readme_example_builds(self, tmp_path):
-        # the fenced block right after the README's `--config` paragraph
+class TestReadme:
+    def test_readme_in_sync(self):
         text = README.read_text(encoding="utf-8")
-        cfg = tmp_path / "conf.txt"
-        cfg.write_text(text[text.index("(`--config`)"):].split("```")[1], encoding="utf-8")
-        overrides = parse_config_file(cfg)
-        assert all(overrides.values()), "the example should set a key of every section"
-        zcfg, hcfg, lcfg = build_configs(overrides)
-        for section, built in (("zff", zcfg), ("hp", hcfg), ("lp", lcfg)):
-            for name, value in overrides[section].items():
-                assert getattr(built, name) == value
+        # every command of the CLI block parses
+        block = text[text.index("## CLI"):].split("```")[1]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("speechpolarity ")]
+        assert len(commands) >= 5
+        parser = _build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+        # every name of the building-blocks list is exported
+        para = text[text.index("The building blocks are exposed individually"):].split("\n\n")[0]
+        names = re.findall(r"`(\w+)`", para)
+        assert len(names) >= 15
+        assert set(names) <= set(speechpolarity.__all__)
 
 
 class TestSynth:
@@ -167,6 +145,32 @@ class TestEval:
         assert main(["eval", "--manifest", str(manifest), "--snr", "abc"]) == 64
         err = capsys.readouterr().err
         assert "--snr" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("methods", [",", "HP", "hp,bogus"])
+    def test_bad_methods_usage_error(self, tmp_path, capsys, methods):
+        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{wav.name},positive,speech\n", encoding="utf-8")
+        assert main(["eval", "--manifest", str(manifest), "--methods", methods]) == 64
+        err = capsys.readouterr().err
+        assert "--methods" in err and "Traceback" not in err
+
+    def test_empty_method_names_skipped(self, tmp_path, capsys):
+        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{wav.name},positive,speech\n", encoding="utf-8")
+        assert main(["eval", "--manifest", str(manifest), "--methods", "hp,,"]) == 0
+        out = capsys.readouterr().out
+        assert "\nhp " in out and "reskew" not in out
+
+    def test_config_flag_removed(self, tmp_path, capsys):
+        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{wav.name},positive,speech\n", encoding="utf-8")
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("lp.order = 12\n", encoding="utf-8")
+        assert main(["eval", "--manifest", str(manifest), "--config", str(cfg)]) == 64
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_bad_out_extension(self, tmp_path):
         wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)

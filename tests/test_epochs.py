@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec, ZffConfig,
-                            estimate_mean_pitch, extract_epochs, generate_utterance,
-                            zff_filter)
+from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec, estimate_mean_pitch,
+                            extract_epochs, generate_utterance, zff_filter)
 from speechpolarity.epochs import PITCH_FALLBACK_HZ
 
 FS = 16000
@@ -124,7 +123,7 @@ class TestZffFilter:
 
     def test_too_short_raises(self):
         with pytest.raises(InvalidInputError):
-            zff_filter(Signal(np.ones(64), FS), ZffConfig(trend_window_ms=25.0))
+            zff_filter(Signal(np.ones(64), FS), mean_pitch_hz=60.0)  # a 25 ms window
 
     def test_supplied_pitch_matches_own_estimate(self):
         s = utterance(180.0, seed=11)
@@ -132,17 +131,10 @@ class TestZffFilter:
         handed = zff_filter(s, mean_pitch_hz=estimate_mean_pitch(s)).samples
         assert np.array_equal(handed, own)
 
-    def test_explicit_window_overrides_supplied_pitch(self):
+    def test_supplied_pitch_sizes_window(self):
         s = utterance(120.0, seed=12)
-        fixed = ZffConfig(trend_window_ms=8.0)
-        assert np.array_equal(zff_filter(s, fixed, mean_pitch_hz=300.0).samples,
-                              zff_filter(s, fixed).samples)
         assert not np.array_equal(zff_filter(s, mean_pitch_hz=300.0).samples,
                                   zff_filter(s).samples)
-
-    def test_explicit_window_validation(self):
-        with pytest.raises(InvalidInputError):
-            ZffConfig(trend_window_ms=0.2)
 
 
 class TestExtractEpochs:

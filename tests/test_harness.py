@@ -8,8 +8,9 @@ from scipy.io import wavfile
 
 from speechpolarity import harness
 from speechpolarity import (CorpusManifest, InvalidInputError, ManifestEntry, NoiseSpec,
-                            Polarity, Signal, SynthSpec, evaluate_corpus, generate_utterance,
-                            load_wav, parse_manifest, render_report, save_wav)
+                            Polarity, PolarityDecision, Signal, SynthSpec, evaluate_corpus,
+                            generate_utterance, load_wav, parse_manifest, render_report, save_wav)
+from speechpolarity.cli import main
 
 FS = 16000
 
@@ -219,6 +220,36 @@ class TestEvaluateCorpus:
         manifest = make_corpus(tmp_path, [("pos1", 100.0, Polarity.POSITIVE, "speech")])
         with pytest.raises(InvalidInputError):
             evaluate_corpus(manifest, methods=("zcr",))
+
+
+class TestMethodRegistry:
+    def test_detectors_looked_up_at_call_time(self, tmp_path, monkeypatch, capsys):
+        # METHODS must reach a detector rebound on the harness module, as a tracer rebinds it
+        calls = []
+
+        def stub(name, decision):
+            def detect(s):
+                calls.append(name)
+                return decision
+            return detect
+
+        monkeypatch.setattr(harness, "detect_polarity_hp", stub("hp", PolarityDecision(
+            Polarity.POSITIVE, negative_votes=9, anchors_used=9)))
+        monkeypatch.setattr(harness, "detect_polarity_reskew", stub("reskew", PolarityDecision(
+            Polarity.NEGATIVE, statistic=-0.5)))
+        manifest = make_corpus(tmp_path, [("pos1", 100.0, Polarity.POSITIVE, "speech")])
+
+        report = evaluate_corpus(manifest)
+        assert calls == ["hp", "reskew", "hp", "reskew"]
+        assert {(r.method, r.orientation, r.evidence) for r in report.per_file} == {
+            ("hp", "original", "votes +0/-9 anchors=9"), ("hp", "negated", "votes +0/-9 anchors=9"),
+            ("reskew", "original", "statistic=-0.5"), ("reskew", "negated", "statistic=-0.5")}
+
+        calls.clear()
+        assert main(["detect", manifest.entries[0].path]) == 0
+        assert calls == ["hp", "reskew"]
+        assert capsys.readouterr().out.splitlines() == [
+            "hp: positive (votes +0/-9 anchors=9)", "reskew: negative (statistic=-0.5)"]
 
 
 class TestRenderReport:

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from speechpolarity import (EnvelopeSeries, EpochList, HpConfig, InvalidInputError,
-                            PhaseSeries, Polarity, Signal, SynthSpec,
-                            analytic_signal, detect_polarity_hp, extract_epochs,
-                            generate_utterance, generate_utterance_with_instants,
-                            hilbert_envelope, phase_sign_at_peak, select_he_peaks,
-                            zff_filter)
-from speechpolarity.hilbert_phase import (MIN_PHASE_MAGNITUDE, PEAK_SEARCH_MS,
+from speechpolarity import (EnvelopeSeries, EpochList, InvalidInputError, PhaseSeries,
+                            Polarity, PolarityDecision, Signal, SynthSpec, analytic_signal,
+                            detect_polarity_hp, extract_epochs, generate_utterance,
+                            generate_utterance_with_instants, hilbert_envelope, hilbert_phase,
+                            select_he_peaks, zff_filter)
+from speechpolarity.hilbert_phase import (MIN_PHASE_MAGNITUDE, MIN_VOTES, PEAK_SEARCH_MS,
                                           PHASE_SPAN_PERIODS, PROMINENCE_FLOOR, _phase_reads)
 
 FS = 16000
@@ -62,30 +61,29 @@ class TestSelectHePeaks:
             select_he_peaks(env, epochs)
 
 
+def vote_signs(phase: PhaseSeries, peaks, pitch_hz: float = 120.0) -> list:
+    """The detector's vote per peak: the sign of the phase read, 0 below MIN_PHASE_MAGNITUDE."""
+    means = _phase_reads(phase, np.asarray(peaks), pitch_hz)
+    return np.where(np.abs(means) < MIN_PHASE_MAGNITUDE, 0, np.sign(means)).astype(int).tolist()
+
+
 class TestVoteReads:
     def test_phase_sign_read(self):
         # plateaus wider than the averaging window around each read point
         values = np.zeros(200)
         values[30:91] = -0.9
         values[100:161] = 0.9
-        values[170:200] = 0.1  # below the default magnitude threshold
+        values[170:200] = 0.1  # below the magnitude threshold
         phase = PhaseSeries(values, FS)
-        assert phase_sign_at_peak(phase, 60) == -1
-        assert phase_sign_at_peak(phase, 130) == 1
-        assert phase_sign_at_peak(phase, 185) == 0
+        assert vote_signs(phase, [60, 130, 185]) == [-1, 1, 0]
 
     def test_phase_sign_antisymmetric(self):
         rng = np.random.default_rng(77)
         values = np.clip(rng.standard_normal(400), -1, 1)
         phase = PhaseSeries(values, FS)
         flipped = PhaseSeries(-values, FS)
-        for idx in (50, 150, 250, 350):
-            assert phase_sign_at_peak(flipped, idx) == -phase_sign_at_peak(phase, idx)
-
-    def test_out_of_range_peak(self):
-        phase = PhaseSeries(np.zeros(16), FS)
-        with pytest.raises(InvalidInputError):
-            phase_sign_at_peak(phase, 99)
+        peaks = [50, 150, 250, 350]
+        assert vote_signs(flipped, peaks) == [-v for v in vote_signs(phase, peaks)]
 
 
 class TestDetector:
@@ -128,6 +126,17 @@ class TestDetector:
         assert d.positive_votes + d.negative_votes <= d.anchors_used
         assert d.anchors_used > 0
 
+    def test_fewer_than_min_votes_abstain(self, monkeypatch):
+        s = utterance(seed=29)
+        d = detect_polarity_hp(s)
+        total = d.positive_votes + d.negative_votes
+        assert d.polarity is Polarity.POSITIVE and total >= MIN_VOTES
+        monkeypatch.setattr(hilbert_phase, "MIN_VOTES", total)
+        assert detect_polarity_hp(s) == d
+        monkeypatch.setattr(hilbert_phase, "MIN_VOTES", total + 1)
+        assert detect_polarity_hp(s) == PolarityDecision(
+            Polarity.INDETERMINATE, d.positive_votes, d.negative_votes, d.anchors_used)
+
     def test_silence_is_indeterminate(self):
         d = detect_polarity_hp(Signal(np.zeros(FS), FS))
         assert d.polarity is Polarity.INDETERMINATE
@@ -146,10 +155,6 @@ class TestDetector:
         a = detect_polarity_hp(s)
         b = detect_polarity_hp(s)
         assert a == b
-
-    def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            HpConfig(min_votes=2.5)
 
 
 # The acceptance corpus's formant sets for the two cells where F1 sits on a
@@ -285,12 +290,3 @@ class TestBatchedPhaseReads:
     def test_no_peaks(self):
         got = _phase_reads(PhaseSeries(np.zeros(100), FS), np.empty(0, dtype=np.int64), 120.0)
         assert got.shape == (0,)
-
-    def test_single_reads_agree_with_batch(self):
-        rng = np.random.default_rng(92)
-        values = np.clip(1.5 * rng.standard_normal(500), -1.0, 1.0)
-        phase = PhaseSeries(values, FS)
-        peaks = np.arange(0, 500, 3)
-        means = _phase_reads(phase, peaks, 150.0)
-        expected = np.where(np.abs(means) < MIN_PHASE_MAGNITUDE, 0, np.sign(means)).astype(int)
-        assert [phase_sign_at_peak(phase, int(p), 150.0) for p in peaks] == expected.tolist()

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import solve_toeplitz
 from scipy.signal import lfilter
 
-from speechpolarity import (InvalidInputError, LpConfig, Polarity, Signal, SynthSpec,
+from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec,
                             UndefinedStatisticError, detect_polarity_reskew,
                             generate_utterance, levinson, lp_residual, reskew_statistic,
                             skewness)
@@ -27,13 +27,14 @@ def spectral_flatness(x: np.ndarray) -> float:
     return float(np.exp(np.mean(np.log(psd))) / np.mean(psd))
 
 
-def reference_lp_residual(s: Signal, cfg: LpConfig) -> np.ndarray:
+def reference_lp_residual(s: Signal, order: int | None) -> np.ndarray:
     """Frame copies, a forward-fill loop and one ``lfilter`` call per frame."""
     fs = s.sample_rate_hz
     x = s.samples
     frame = int(round(LP_FRAME_MS * fs / 1000.0))
     hop = int(round(LP_HOP_MS * fs / 1000.0))
-    order = cfg.resolved_order(fs)
+    if order is None:
+        order = int(np.clip(round(fs / 1000.0) + 2, 4, 40))
     starts = list(range(0, x.size - frame + 1, hop))
     if starts[-1] + frame < x.size:
         starts.append(x.size - frame)
@@ -138,12 +139,11 @@ class TestLpResidual:
         x = generate_utterance(SynthSpec(pitch_hz=130.0, sample_rate_hz=fs, jitter_pct=1.0,
                                          seed=16)).samples
         n = x.size // 4
-        cfg = LpConfig(order=order)
         for y in (x, np.concatenate([np.zeros(n), x]),
                   np.concatenate([x[:2 * n], np.zeros(n), x[2 * n:]]),
                   np.concatenate([1e200 * x[:n], x[n:2 * n], 1e200 * x[2 * n:]])):
             s = Signal(y, fs)
-            assert lp_residual(s, cfg).samples.tobytes() == reference_lp_residual(s, cfg).tobytes()
+            assert lp_residual(s, order).samples.tobytes() == reference_lp_residual(s, order).tobytes()
 
     @pytest.mark.parametrize("fs", (11025, 22050, 44100))
     def test_matches_reference_where_frame_is_off_the_hop_grid(self, fs):
@@ -158,17 +158,16 @@ class TestLpResidual:
         long = generate_utterance(SynthSpec(pitch_hz=110.0, duration_s=6.0, sample_rate_hz=fs,
                                             seed=18)).samples
         for order in (None, 8):
-            cfg = LpConfig(order=order)
             for y in (x[:on_grid], x[:on_grid - 1], x[:on_grid - 7], x[:on_grid - hop + 1], long,
                       long[:-1]):
                 s = Signal(y, fs)
-                assert lp_residual(s, cfg).samples.tobytes() == reference_lp_residual(s, cfg).tobytes()
+                assert lp_residual(s, order).samples.tobytes() == reference_lp_residual(s, order).tobytes()
 
-    def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            LpConfig(order=2)
-        with pytest.raises(InvalidInputError):
-            LpConfig(order=8.5)
+    def test_order_validation(self):
+        s = utterance(seed=19)
+        for order in (2, 41, 8.5):
+            with pytest.raises(InvalidInputError):
+                lp_residual(s, order)
 
 
 class TestSkewness:
