@@ -95,8 +95,8 @@ def cosine_phase(a: AnalyticSignal, eps: float | None = None) -> PhaseSeries:
     if eps is None:
         peak = float(env.max()) if env.size else 0.0
         eps = 1e-12 * (peak if peak > 0.0 else 1.0)
-    if eps <= 0.0:
-        raise InvalidInputError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise InvalidInputError(f"eps must be positive and finite, got {eps}")
     values = a.real / np.maximum(env, eps)
     np.clip(values, -1.0, 1.0, out=values)
     return PhaseSeries(values, a.sample_rate_hz)

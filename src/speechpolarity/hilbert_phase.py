@@ -36,6 +36,8 @@ the vote count below which the detector abstains are module constants
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, filtfilt
@@ -117,11 +119,19 @@ def _phase_reads(phase: PhaseSeries, peaks: np.ndarray, pitch_hz: float) -> np.n
     return means
 
 
-def _band_limit(s: Signal) -> Signal:
+@lru_cache
+def _band_filter(sample_rate_hz: int) -> tuple[np.ndarray, np.ndarray]:
     # detector_input requires fs >= 1 kHz, so the upper edge is at least 475 Hz
-    nyq = s.sample_rate_hz / 2.0
+    nyq = sample_rate_hz / 2.0
     high = min(BAND_HIGH_HZ, 0.95 * nyq)
     b, a = butter(2, [BAND_LOW_HZ / nyq, high / nyq], btype="band")
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
+
+
+def _band_limit(s: Signal) -> Signal:
+    # the Butterworth band-pass is designed once per sample rate
+    b, a = _band_filter(s.sample_rate_hz)
     return Signal(filtfilt(b, a, s.samples), s.sample_rate_hz)
 
 

@@ -10,6 +10,7 @@ confuses waveform-level statistics.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -68,11 +69,10 @@ def levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             acc = np.zeros(nf)
         safe = np.where(ok & (err > 0.0), err, 1.0)
         k = np.where(ok, -(r[:, i] + acc) / safe, 0.0)
-        upd = a.copy()
-        upd[:, i] = k
         if i > 1:
-            upd[:, 1:i] = a[:, 1:i] + k[:, None] * a[:, i - 1:0:-1]
-        a = np.where(ok[:, None], upd, a)
+            np.copyto(a[:, 1:i], a[:, 1:i] + k[:, None] * a[:, i - 1:0:-1], where=ok[:, None])
+        # k is +0.0 on rows that broke down, and their a[:, i] is still the initial +0.0
+        a[:, i] = k
         err = np.where(ok, err * (1.0 - k * k), err)
         ok = ok & (err > 0.0)
     return a, err, ok
@@ -104,13 +104,17 @@ def lp_residual(s: Signal, order: int | None = None) -> Signal:
     one more frame ends at the signal's end.
     The filtered frames are strided views of the signal, not copies; only
     the windowed frames behind the lags are copied, and they are freed once
-    the lags are computed.  Each frame's FIR runs through ``np.convolve``,
-    the same arithmetic as ``lfilter``'s FIR path.  The filtered frames are
-    windowed and overlap-added ``_OLA_CHUNK_FRAMES`` at a time, in hop-sized
-    blocks that add the frames covering a sample oldest first, and the
-    off-grid last frame is added last.  These are the additions of a
-    per-frame loop in its order, so the residual matches a per-frame
-    ``lfilter`` loop bit for bit.
+    the lags are computed.  Each frame's FIR is ``np.correlate`` of the frame
+    with its coefficient row reversed, the rows reversed once per call: the
+    C routine and operands of ``np.convolve`` without its per-call wrapper,
+    and bitwise equal to ``lfilter``'s FIR path.  ``np.convolve`` swaps its
+    operands unless the frame is the longer one, so a frame of at most
+    order + 1 samples (possible only below 1.7 kHz) is rejected.  The
+    filtered frames are windowed and overlap-added ``_OLA_CHUNK_FRAMES`` at
+    a time, in hop-sized blocks that add the frames covering a sample
+    oldest first, and the off-grid last frame is added last.  These are the
+    additions of a per-frame loop in its order, so the residual matches a
+    per-frame ``lfilter`` loop bit for bit.
     Zero-energy frames contribute a zero residual; a frame whose Levinson
     recursion breaks down falls back to the previous healthy frame's
     coefficients, or to the identity filter before the first healthy frame.
@@ -122,6 +126,9 @@ def lp_residual(s: Signal, order: int | None = None) -> Signal:
     hop = int(round(LP_HOP_MS * fs / 1000.0))
     if hop < 1:
         raise InvalidInputError(f"sample rate {fs} Hz is too low for {LP_HOP_MS:g} ms LP hops")
+    if frame <= order + 1:
+        raise InvalidInputError(
+            f"LP frames of {frame} samples are too short for an order-{order} filter")
     if x.size < 2 * frame:
         raise InvalidInputError(
             f"signal too short for LP analysis: {x.size} samples < 2 frames ({2 * frame})")
@@ -141,23 +148,24 @@ def lp_residual(s: Signal, order: int | None = None) -> Signal:
     del windowed
 
     coeffs, _, ok = levinson(lags)
-    # row 0 is the identity filter; each frame takes the row of its last healthy frame
+    # row 0 is the identity filter; each frame takes the row of its last healthy
+    # frame, reversed for np.correlate
     identity = np.zeros((1, order + 1))
     identity[0, 0] = 1.0
     last_ok = np.maximum.accumulate(np.where(ok, np.arange(1, len(starts) + 1), 0))
-    coeffs = np.concatenate([identity, coeffs])[last_ok]
+    taps = np.concatenate([identity, coeffs])[last_ok, ::-1]
 
     out = np.zeros(x.size + hop)
     weight = np.zeros(x.size + hop)
     for first in range(0, grid, _OLA_CHUNK_FRAMES):
         rows = np.empty((min(_OLA_CHUNK_FRAMES, grid - first), frame))
         for i, f in enumerate(range(first, first + len(rows))):
-            rows[i] = np.convolve(coeffs[f], frames[f * hop])[:frame]
+            rows[i] = np.correlate(frames[f * hop], taps[f], "full")[:frame]
         rows *= window
         _overlap_add(out, rows, first, hop)
         _overlap_add(weight, np.broadcast_to(window, rows.shape), first, hop)
     if len(starts) > grid:
-        out[x.size - frame:x.size] += np.convolve(coeffs[-1], frames[-1])[:frame] * window
+        out[x.size - frame:x.size] += np.correlate(frames[-1], taps[-1], "full")[:frame] * window
         weight[x.size - frame:x.size] += window
     # every sample lies in a frame, and the Hamming window is positive
     return Signal(out[:x.size] / weight[:x.size], fs)
@@ -179,6 +187,15 @@ def skewness(x) -> float:
     return float(m3 / denom)
 
 
+@lru_cache
+def _smoothing_filter(sample_rate_hz: int) -> tuple[np.ndarray, np.ndarray]:
+    nyq = sample_rate_hz / 2.0
+    cutoff = min(RESIDUAL_SMOOTH_HZ, 0.95 * nyq)
+    b, a = butter(4, cutoff / nyq, btype="low")
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
+
+
 def glottal_flow_estimate(s: Signal, order: int | None = None,
                           mean_pitch_hz: float | None = None) -> Signal:
     """Rough glottal-flow approximation from the LP residual.
@@ -188,15 +205,14 @@ def glottal_flow_estimate(s: Signal, order: int | None = None,
     roughly ``INTEGRATION_PERIODS`` pitch periods, and detrended with a
     centered moving average of ``DETREND_PERIODS`` pitch periods so that
     integration drift and sub-pitch noise do not drown the flow bumps.
+    The Butterworth lowpass is designed once per sample rate.
     """
     fs = s.sample_rate_hz
     if mean_pitch_hz is None:
         mean_pitch_hz = estimate_mean_pitch(s)
     e = lp_residual(s, order).samples
 
-    nyq = fs / 2.0
-    cutoff = min(RESIDUAL_SMOOTH_HZ, 0.95 * nyq)
-    b, a = butter(4, cutoff / nyq, btype="low")
+    b, a = _smoothing_filter(fs)
     smooth = filtfilt(b, a, e)
 
     tau = INTEGRATION_PERIODS * fs / mean_pitch_hz

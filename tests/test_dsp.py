@@ -205,3 +205,10 @@ class TestEnvelopeAndPhase:
         a = analytic_signal(Signal(np.ones(64), FS))
         with pytest.raises(InvalidInputError):
             cosine_phase(a, eps=0.0)
+
+    @pytest.mark.parametrize("eps", (float("nan"), float("inf"), -float("inf"), 0.0, -1.0))
+    def test_rejects_eps_not_positive_and_finite(self, eps):
+        # nan gave an all-NaN phase and inf an all-zero one
+        a = analytic_signal(Signal(np.sin(np.arange(1000) * 0.1), FS))
+        with pytest.raises(InvalidInputError):
+            cosine_phase(a, eps=eps)

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.signal import butter, resample_poly
 
 from speechpolarity import (EnvelopeSeries, EpochList, InvalidInputError, PhaseSeries,
                             Polarity, PolarityDecision, Signal, SynthSpec, analytic_signal,
-                            detect_polarity_hp, extract_epochs, generate_utterance,
-                            generate_utterance_with_instants, hilbert_envelope, hilbert_phase,
-                            select_he_peaks, zff_filter)
-from speechpolarity.hilbert_phase import (MIN_PHASE_MAGNITUDE, MIN_VOTES, PEAK_SEARCH_MS,
-                                          PHASE_SPAN_PERIODS, PROMINENCE_FLOOR, _phase_reads)
+                            detect_polarity_hp, detect_polarity_reskew, extract_epochs,
+                            generate_utterance, generate_utterance_with_instants,
+                            hilbert_envelope, hilbert_phase, reskew, select_he_peaks, zff_filter)
+from speechpolarity.hilbert_phase import (BAND_HIGH_HZ, BAND_LOW_HZ, MIN_PHASE_MAGNITUDE,
+                                          MIN_VOTES, PEAK_SEARCH_MS, PHASE_SPAN_PERIODS,
+                                          PROMINENCE_FLOOR, _band_filter, _phase_reads)
 
 FS = 16000
 
@@ -290,3 +292,46 @@ class TestBatchedPhaseReads:
     def test_no_peaks(self):
         got = _phase_reads(PhaseSeries(np.zeros(100), FS), np.empty(0, dtype=np.int64), 120.0)
         assert got.shape == (0,)
+
+
+CACHE_RATES = (1000, 8000, 11025, 16000, 22050, 44100, 48000)
+
+
+class TestFilterDesignCache:
+    """Both detectors design their Butterworth filters once per sample rate."""
+
+    @pytest.mark.parametrize("fs", CACHE_RATES)
+    def test_cached_designs_equal_fresh_ones_and_are_read_only(self, fs):
+        # at 1 kHz both the band's upper edge and the smoothing cutoff sit at 0.95 Nyquist
+        nyq = fs / 2.0
+        fresh = (butter(2, [BAND_LOW_HZ / nyq, min(BAND_HIGH_HZ, 0.95 * nyq) / nyq],
+                        btype="band"),
+                 butter(4, min(reskew.RESIDUAL_SMOOTH_HZ, 0.95 * nyq) / nyq, btype="low"))
+        for cached, expected in zip((_band_filter(fs), reskew._smoothing_filter(fs)), fresh):
+            for got, want in zip(cached, expected):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                with pytest.raises(ValueError):
+                    got[0] = 1.0
+
+    @pytest.mark.parametrize("fs", CACHE_RATES)
+    def test_second_call_at_a_rate_designs_nothing(self, fs, monkeypatch):
+        calls = {hilbert_phase: 0, reskew: 0}
+
+        def counting(module):
+            def design(*args, **kwargs):
+                calls[module] += 1
+                return butter(*args, **kwargs)
+            return design
+
+        for module in calls:
+            monkeypatch.setattr(module, "butter", counting(module))
+        _band_filter.cache_clear()
+        reskew._smoothing_filter.cache_clear()
+        x = generate_utterance(SynthSpec(pitch_hz=110.0, sample_rate_hz=48000, seed=95)).samples
+        s = Signal(resample_poly(x, fs, 48000), fs)
+        assert detect_polarity_hp(s).anchors_used > 0  # the flow stage ran
+        detect_polarity_reskew(s)
+        assert calls == {hilbert_phase: 1, reskew: 1}
+        detect_polarity_hp(s)
+        detect_polarity_reskew(s.negated())
+        assert calls == {hilbert_phase: 1, reskew: 1}

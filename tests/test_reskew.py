@@ -61,6 +61,38 @@ def reference_lp_residual(s: Signal, order: int | None) -> np.ndarray:
     return out / weight
 
 
+def reference_levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The masked recursion that builds a fresh coefficient matrix at every stage."""
+    r = np.atleast_2d(np.asarray(r, dtype=np.float64))
+    nf, p1 = r.shape
+    p = p1 - 1
+    a = np.zeros((nf, p1))
+    a[:, 0] = 1.0
+    err = r[:, 0].copy()
+    ok = err > 0.0
+    for i in range(1, p + 1):
+        if i > 1:
+            acc = np.einsum("fj,fj->f", a[:, 1:i], r[:, i - 1:0:-1])
+        else:
+            acc = np.zeros(nf)
+        safe = np.where(ok & (err > 0.0), err, 1.0)
+        k = np.where(ok, -(r[:, i] + acc) / safe, 0.0)
+        upd = a.copy()
+        upd[:, i] = k
+        if i > 1:
+            upd[:, 1:i] = a[:, 1:i] + k[:, None] * a[:, i - 1:0:-1]
+        a = np.where(ok[:, None], upd, a)
+        err = np.where(ok, err * (1.0 - k * k), err)
+        ok = ok & (err > 0.0)
+    return a, err, ok
+
+
+def frame_lags(x: np.ndarray, order: int) -> np.ndarray:
+    """Autocorrelation lags 0..order of each row of ``x``."""
+    return np.stack([np.einsum("fj,fj->f", x[:, :x.shape[1] - k], x[:, k:])
+                     for k in range(order + 1)], axis=1)
+
+
 class TestLevinson:
     def test_matches_toeplitz_solver(self):
         rng = np.random.default_rng(0)
@@ -79,6 +111,43 @@ class TestLevinson:
         r = np.array([[1.0, 1.0, 1.0, 1.0]])
         _, _, ok = levinson(r)
         assert not ok[0]
+
+    @staticmethod
+    def assert_matches_reference(r):
+        got, want = levinson(r), reference_levinson(r)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()  # sign bits and NaN positions included
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("order", (8, 18, 40))
+    def test_matches_masked_reference_bitwise(self, order):
+        rng = np.random.default_rng(order)
+        x = rng.standard_normal((8, 400)) * np.hamming(400)
+        r = frame_lags(np.vstack([x, np.zeros(400), 1e200 * x[0]]), order)  # silent, inf lags
+        r[3, 2] = np.nan                        # a NaN lag
+        r[4, 0] = -r[4, 0]                      # negative energy
+        # exact lags of sinusoids and of a +-1 alternation: the prediction
+        # error reaches zero, or rounds below it, at stages 1 to 6
+        k = np.arange(order + 1)
+        alternation = np.where(k % 2, -1.0, 1.0)
+        exact = np.stack([np.cos(0.3 * k), np.cos(0.7 * k),
+                          np.cos(0.3 * k) + 0.5 * np.cos(1.1 * k),
+                          alternation, alternation + np.cos(0.5 * k)])
+        assert reference_levinson(exact[:, :3])[2][[0, 2, 4]].all()  # healthy to stage 2
+        r = np.vstack([r, exact])
+        assert reference_levinson(r)[2].tolist() == [True] * 3 + [False] * 2 + [True] * 3 \
+            + [False] * 7
+        self.assert_matches_reference(r)
+
+    @pytest.mark.parametrize("order", (8, 18, 40))
+    def test_matches_masked_reference_on_healthy_batches(self, order):
+        rng = np.random.default_rng(100 + order)
+        for _ in range(10):
+            x = rng.standard_normal((int(rng.integers(1, 300)), 600)) * np.hamming(600)
+            r = frame_lags(x, order)
+            assert reference_levinson(r)[2].all()
+            self.assert_matches_reference(r)
 
 
 class TestLpResidual:
@@ -162,6 +231,15 @@ class TestLpResidual:
                       long[:-1]):
                 s = Signal(y, fs)
                 assert lp_residual(s, order).samples.tobytes() == reference_lp_residual(s, order).tobytes()
+
+    def test_frame_not_longer_than_filter_rejected(self):
+        # np.correlate computes np.convolve's bits only for a frame longer than the filter
+        x = np.random.default_rng(20).standard_normal(400)
+        for fs, order in ((1000, 24), (1000, 40), (200, None), (150, None)):
+            with pytest.raises(InvalidInputError):
+                lp_residual(Signal(x, fs), order)
+        s = Signal(x, 1000)
+        assert lp_residual(s, 23).samples.tobytes() == reference_lp_residual(s, 23).tobytes()
 
     def test_order_validation(self):
         s = utterance(seed=19)
