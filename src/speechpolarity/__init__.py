@@ -18,18 +18,17 @@ from .reskew import (detect_polarity_reskew, glottal_flow_estimate, levinson, lp
                      reskew_statistic, skewness)
 from .synth import (NoiseSpec, SynthSpec, generate_utterance, generate_utterance_with_instants,
                     mix_noise)
-from .types import (AnalyticSignal, EnvelopeSeries, EpochList, InvalidInputError, PhaseSeries,
-                    Polarity, PolarityDecision, Signal, UndefinedStatisticError)
+from .types import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
+                    UndefinedStatisticError)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticSignal", "CalibrationResult", "CorpusManifest", "EnvelopeSeries", "EpochList",
-    "EvalReport", "InvalidInputError", "ManifestEntry", "MethodTally", "NoiseSpec", "PhaseSeries",
-    "Polarity", "PolarityDecision", "Signal", "SynthSpec", "TrialRecord",
-    "UndefinedStatisticError", "analytic_signal", "calibrate", "cosine_phase",
-    "detect_polarity_hp", "detect_polarity_reskew", "estimate_mean_pitch", "evaluate_corpus",
-    "extract_epochs", "generate_utterance", "generate_utterance_with_instants",
+    "CalibrationResult", "CorpusManifest", "EpochList", "EvalReport", "InvalidInputError",
+    "ManifestEntry", "MethodTally", "NoiseSpec", "Polarity", "PolarityDecision", "Signal",
+    "SynthSpec", "TrialRecord", "UndefinedStatisticError", "analytic_signal", "calibrate",
+    "cosine_phase", "detect_polarity_hp", "detect_polarity_reskew", "estimate_mean_pitch",
+    "evaluate_corpus", "extract_epochs", "generate_utterance", "generate_utterance_with_instants",
     "glottal_flow_estimate", "hilbert_envelope", "hilbert_transform", "levinson", "load_wav",
     "lp_residual", "mix_noise", "parse_manifest", "render_report", "reskew_statistic", "save_wav",
     "select_he_peaks", "skewness", "zff_filter",

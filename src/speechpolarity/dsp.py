@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .types import AnalyticSignal, EnvelopeSeries, InvalidInputError, PhaseSeries, Signal
+from .types import Signal
 
 
 def _fft_cost(n: int) -> float:
@@ -74,29 +74,26 @@ def hilbert_transform(s: Signal) -> Signal:
     return Signal(irfft(spec, n), s.sample_rate_hz)
 
 
-def analytic_signal(s: Signal) -> AnalyticSignal:
-    """Pair ``s`` (kept verbatim as the real part) with its Hilbert transform."""
-    return AnalyticSignal(s.samples, hilbert_transform(s).samples, s.sample_rate_hz)
+def analytic_signal(s: Signal) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (real, imag): ``s.samples`` verbatim and its Hilbert transform."""
+    return s.samples, hilbert_transform(s).samples
 
 
-def hilbert_envelope(a: AnalyticSignal) -> EnvelopeSeries:
-    """Magnitude of the analytic signal, sqrt(real^2 + imag^2)."""
-    return EnvelopeSeries(np.hypot(a.real, a.imag), a.sample_rate_hz)
+def hilbert_envelope(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Magnitude of the analytic signal, sqrt(real^2 + imag^2); never negative."""
+    return np.hypot(*pair)
 
 
-def cosine_phase(a: AnalyticSignal, eps: float | None = None) -> PhaseSeries:
-    """Cosine of the instantaneous phase: real part over the envelope.
+def cosine_phase(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Cosine of the instantaneous phase: real part over the envelope, in [-1, 1].
 
-    Samples where the envelope falls below ``eps`` yield 0.  ``eps`` defaults
-    to 1e-12 of the envelope peak (1e-12 for silence) so that the result
-    does not depend on the overall signal scale.
+    Samples where the envelope falls below 1e-12 of its peak (1e-12 for
+    silence) yield 0, so that the result does not depend on the overall
+    signal scale and is exactly odd under negation of the signal.
     """
-    env = np.hypot(a.real, a.imag)
-    if eps is None:
-        peak = float(env.max()) if env.size else 0.0
-        eps = 1e-12 * (peak if peak > 0.0 else 1.0)
-    if not 0.0 < eps < np.inf:
-        raise InvalidInputError(f"eps must be positive and finite, got {eps}")
-    values = a.real / np.maximum(env, eps)
+    real, imag = pair
+    env = np.hypot(real, imag)
+    peak = float(env.max()) if env.size else 0.0
+    values = real / np.maximum(env, 1e-12 * (peak if peak > 0.0 else 1.0))
     np.clip(values, -1.0, 1.0, out=values)
-    return PhaseSeries(values, a.sample_rate_hz)
+    return values

@@ -82,11 +82,14 @@ def zff_filter(s: Signal, mean_pitch_hz: float | None = None) -> Signal:
     cannot track the polynomial growth right at the boundaries, and anchors
     that close to the edges are of no use downstream.  The trend window is
     1.5 mean pitch periods, clamped to [3, 25] ms; the pitch is
-    ``mean_pitch_hz`` when given, else estimated from ``s``.
+    ``mean_pitch_hz`` when given (it must be positive and finite), else
+    estimated from ``s``.
     """
     fs = s.sample_rate_hz
     if mean_pitch_hz is None:
         mean_pitch_hz = estimate_mean_pitch(s)
+    elif not 0.0 < mean_pitch_hz < np.inf:
+        raise InvalidInputError(f"mean pitch must be positive and finite, got {mean_pitch_hz}")
     window_ms = float(np.clip(1.5 * 1000.0 / mean_pitch_hz, 3.0, 25.0))
     width = int(round(window_ms * fs / 1000.0))
     if width % 2 == 0:

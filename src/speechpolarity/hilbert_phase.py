@@ -45,8 +45,8 @@ from scipy.signal import butter, filtfilt
 from .dsp import analytic_signal, cosine_phase, hilbert_envelope
 from .epochs import estimate_mean_pitch, extract_epochs, zff_filter
 from .reskew import glottal_flow_estimate
-from .types import (EnvelopeSeries, EpochList, InvalidInputError, PhaseSeries, Polarity,
-                    PolarityDecision, Signal, detector_input)
+from .types import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
+                    detector_input)
 
 # LP order for the band-limited detector path: enough poles for the formants
 # inside the band plus its edges.  At high pitch the autocorrelation fit can
@@ -69,53 +69,50 @@ MIN_VOTES = 3  # fewer non-abstaining votes, or a tie, is indeterminate
 _PEAK_CHUNK_EPOCHS = 1024  # epoch windows gathered per argmax
 
 
-def select_he_peaks(env: EnvelopeSeries, epochs: EpochList) -> np.ndarray:
+def select_he_peaks(envelope: np.ndarray, epochs: EpochList) -> np.ndarray:
     """Envelope maxima near the anchor instants.
 
     For each epoch the envelope argmax within +-``PEAK_SEARCH_MS`` is taken
     (the first of equal maxima; the window is cut off at either end of the
     envelope), kept only if it reaches ``PROMINENCE_FLOOR`` times the
     global envelope maximum; duplicates collapse to one index and the
-    result is ascending.  Epochs at or beyond the envelope's end are
-    rejected.
+    result is ascending.  The envelope is sampled at the epochs' rate;
+    epochs at or beyond its end are rejected.
 
     The windows are rows of a strided view of the envelope padded with
     ``-inf``, so the cut-off windows need no special case; they are
     gathered ``_PEAK_CHUNK_EPOCHS`` epochs at a time, which bounds the
     temporary copy.
     """
-    if env.sample_rate_hz != epochs.sample_rate_hz:
-        raise InvalidInputError("envelope and epochs must share a sample rate")
-    values = env.values
     if len(epochs) == 0:
         return np.empty(0, dtype=np.int64)
-    if epochs.indices[-1] >= values.size:
+    if epochs.indices[-1] >= envelope.size:
         raise InvalidInputError(
-            f"epoch index {epochs.indices[-1]} beyond the envelope's {values.size} samples")
-    half = int(round(PEAK_SEARCH_MS * env.sample_rate_hz / 1000.0))
-    floor = PROMINENCE_FLOOR * float(values.max())
+            f"epoch index {epochs.indices[-1]} beyond the envelope's {envelope.size} samples")
+    half = int(round(PEAK_SEARCH_MS * epochs.sample_rate_hz / 1000.0))
+    floor = PROMINENCE_FLOOR * float(envelope.max())
     pad = np.full(half, -np.inf)
-    windows = sliding_window_view(np.concatenate([pad, values, pad]), 2 * half + 1)
+    windows = sliding_window_view(np.concatenate([pad, envelope, pad]), 2 * half + 1)
     # row e of the padded view is the window centred on envelope sample e
     peaks = epochs.indices - half
     for c in range(0, peaks.size, _PEAK_CHUNK_EPOCHS):
         chunk = epochs.indices[c:c + _PEAK_CHUNK_EPOCHS]
         peaks[c:c + _PEAK_CHUNK_EPOCHS] += np.argmax(windows[chunk], axis=1)
-    return np.unique(peaks[values[peaks] >= floor])
+    return np.unique(peaks[envelope[peaks] >= floor])
 
 
-def _phase_reads(phase: PhaseSeries, peaks: np.ndarray, pitch_hz: float) -> np.ndarray:
-    # np.mean(v[p:p + span + 1]) per peak: one row mean where the slice is
+def _phase_reads(phase: np.ndarray, sample_rate_hz: int, peaks: np.ndarray,
+                 pitch_hz: float) -> np.ndarray:
+    # np.mean(phase[p:p + span + 1]) per peak: one row mean where the slice is
     # whole (the same pairwise sum and division), a slice where the end of
     # the series cuts it short.
-    v = phase.values
-    width = int(round(PHASE_SPAN_PERIODS * phase.sample_rate_hz / pitch_hz)) + 1
+    width = int(round(PHASE_SPAN_PERIODS * sample_rate_hz / pitch_hz)) + 1
     means = np.empty(peaks.size)
-    whole = peaks <= v.size - width
+    whole = peaks <= phase.size - width
     if whole.any():
-        means[whole] = sliding_window_view(v, width)[peaks[whole]].mean(axis=1)
+        means[whole] = sliding_window_view(phase, width)[peaks[whole]].mean(axis=1)
     for i in np.flatnonzero(~whole):
-        means[i] = np.mean(v[peaks[i]:])
+        means[i] = np.mean(phase[peaks[i]:])
     return means
 
 
@@ -153,7 +150,8 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
     positive = negative = 0
     if peaks.size:
         flow = glottal_flow_estimate(band, HP_RESIDUAL_ORDER, mean_pitch_hz=pitch)
-        means = _phase_reads(cosine_phase(analytic_signal(flow)), peaks, pitch)
+        means = _phase_reads(cosine_phase(analytic_signal(flow)), flow.sample_rate_hz, peaks,
+                             pitch)
         positive = int(np.count_nonzero(means >= MIN_PHASE_MAGNITUDE))
         negative = int(np.count_nonzero(means <= -MIN_PHASE_MAGNITUDE))
 

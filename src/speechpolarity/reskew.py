@@ -205,11 +205,15 @@ def glottal_flow_estimate(s: Signal, order: int | None = None,
     roughly ``INTEGRATION_PERIODS`` pitch periods, and detrended with a
     centered moving average of ``DETREND_PERIODS`` pitch periods so that
     integration drift and sub-pitch noise do not drown the flow bumps.
-    The Butterworth lowpass is designed once per sample rate.
+    A given ``mean_pitch_hz`` must be positive and finite; by default it is
+    estimated from ``s``.  The Butterworth lowpass is designed once per
+    sample rate.
     """
     fs = s.sample_rate_hz
     if mean_pitch_hz is None:
         mean_pitch_hz = estimate_mean_pitch(s)
+    elif not 0.0 < mean_pitch_hz < np.inf:
+        raise InvalidInputError(f"mean pitch must be positive and finite, got {mean_pitch_hz}")
     e = lp_residual(s, order).samples
 
     b, a = _smoothing_filter(fs)

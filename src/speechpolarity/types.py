@@ -1,8 +1,8 @@
-"""Shared domain types: signals, series, epoch lists, and polarity decisions."""
+"""Shared domain types: signals, epoch lists, and polarity decisions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -36,13 +36,6 @@ class Polarity(Enum):
             raise InvalidInputError(f"unknown polarity {text!r}") from None
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class Signal:
     """A uniformly sampled real-valued waveform.
@@ -55,7 +48,9 @@ class Signal:
     sample_rate_hz: int
 
     def __post_init__(self):
-        arr = _as_float_array(self.samples, "samples")
+        arr = np.asarray(self.samples, dtype=np.float64)
+        if arr.ndim != 1:
+            raise InvalidInputError(f"samples must be one-dimensional, got shape {arr.shape}")
         if arr.size < 1:
             raise InvalidInputError("signal must contain at least one sample")
         if not np.all(np.isfinite(arr)):
@@ -75,9 +70,6 @@ class Signal:
     def negated(self) -> "Signal":
         return Signal(-self.samples, self.sample_rate_hz)
 
-    def scaled(self, factor: float) -> "Signal":
-        return Signal(factor * self.samples, self.sample_rate_hz)
-
 
 def detector_input(s: Signal) -> Signal:
     """Check a signal for either detector and rescale it by a power of two.
@@ -95,63 +87,6 @@ def detector_input(s: Signal) -> Signal:
     if exponent == 0:
         return s
     return Signal(np.ldexp(s.samples, -exponent), s.sample_rate_hz)
-
-
-@dataclass(frozen=True)
-class AnalyticSignal:
-    """Real/imaginary pair; the real part is the source signal verbatim."""
-
-    real: np.ndarray
-    imag: np.ndarray
-    sample_rate_hz: int
-
-    def __post_init__(self):
-        re = _as_float_array(self.real, "real")
-        im = _as_float_array(self.imag, "imag")
-        if re.size != im.size:
-            raise InvalidInputError("real and imaginary parts must have identical length")
-        object.__setattr__(self, "real", re)
-        object.__setattr__(self, "imag", im)
-        object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
-
-    def __len__(self) -> int:
-        return self.real.size
-
-
-@dataclass(frozen=True)
-class EnvelopeSeries:
-    """Magnitude of an analytic signal; values are non-negative."""
-
-    values: np.ndarray
-    sample_rate_hz: int
-
-    def __post_init__(self):
-        arr = _as_float_array(self.values, "values")
-        if arr.size and float(arr.min()) < 0.0:
-            raise InvalidInputError("envelope values must be non-negative")
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class PhaseSeries:
-    """Cosine of the analytic-signal phase; values lie in [-1, 1]."""
-
-    values: np.ndarray
-    sample_rate_hz: int
-
-    def __post_init__(self):
-        arr = _as_float_array(self.values, "values")
-        if arr.size and (float(arr.min()) < -1.0 or float(arr.max()) > 1.0):
-            raise InvalidInputError("phase values must lie in [-1, 1]")
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour, including exit codes, and the README's CLI and API lists."""
 
+import inspect
 import json
 import re
 import shlex
@@ -76,11 +77,16 @@ class TestReadme:
                 parser.parse_args(argv[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {shlex.join(argv)}")
-        # every name of the building-blocks list is exported
+        # every name of the building-blocks list is exported, and every
+        # exported function is named in the Library section
         para = text[text.index("The building blocks are exposed individually"):].split("\n\n")[0]
         names = re.findall(r"`(\w+)`", para)
         assert len(names) >= 15
         assert set(names) <= set(speechpolarity.__all__)
+        library = set(re.findall(r"\w+", text[text.index("## Library"):text.index("## Notes")]))
+        functions = {name for name in speechpolarity.__all__
+                     if inspect.isfunction(getattr(speechpolarity, name))}
+        assert functions - library == set()
 
 
 class TestSynth:

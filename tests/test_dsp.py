@@ -144,19 +144,19 @@ class TestAnalyticSignal:
     def test_cosine_gives_unit_modulus(self):
         n = 1600
         t = np.arange(n) / FS
-        a = analytic_signal(Signal(np.cos(2 * np.pi * 500 * t), FS))
-        assert np.allclose(a.real, np.cos(2 * np.pi * 500 * t))
-        mod = np.hypot(a.real, a.imag)
+        real, imag = analytic_signal(Signal(np.cos(2 * np.pi * 500 * t), FS))
+        assert np.allclose(real, np.cos(2 * np.pi * 500 * t))
+        mod = np.hypot(real, imag)
         assert np.max(np.abs(mod[EDGE:-EDGE] - 1.0)) <= 1e-9
 
     def test_zero_signal(self):
-        a = analytic_signal(Signal(np.zeros(256), FS))
-        assert not a.real.any() and not a.imag.any()
+        real, imag = analytic_signal(Signal(np.zeros(256), FS))
+        assert not real.any() and not imag.any()
 
     def test_real_part_verbatim(self):
         x = bandlimited_noise(4096, FS, 100, 6000, 3)
-        a = analytic_signal(Signal(x, FS))
-        assert np.array_equal(a.real, x)
+        real, _ = analytic_signal(Signal(x, FS))
+        assert np.array_equal(real, x)
 
 
 class TestEnvelopeAndPhase:
@@ -164,13 +164,13 @@ class TestEnvelopeAndPhase:
         n = 1600
         t = np.arange(n) / FS
         env = hilbert_envelope(analytic_signal(Signal(np.cos(2 * np.pi * 500 * t), FS)))
-        assert np.max(np.abs(env.values[EDGE:-EDGE] - 1.0)) <= 1e-9
+        assert np.max(np.abs(env[EDGE:-EDGE] - 1.0)) <= 1e-9
 
     def test_envelope_polarity_invariance(self):
         for seed in range(5):
             x = bandlimited_noise(FS, FS, 50, 7000, seed + 100)
-            e_pos = hilbert_envelope(analytic_signal(Signal(x, FS))).values
-            e_neg = hilbert_envelope(analytic_signal(Signal(-x, FS))).values
+            e_pos = hilbert_envelope(analytic_signal(Signal(x, FS)))
+            e_neg = hilbert_envelope(analytic_signal(Signal(-x, FS)))
             assert np.max(np.abs(e_pos - e_neg)) <= 1e-12 * (1.0 + e_pos.max())
 
     def test_phase_antisymmetry(self):
@@ -178,10 +178,10 @@ class TestEnvelopeAndPhase:
             x = bandlimited_noise(FS, FS, 50, 7000, seed + 200)
             a_pos = analytic_signal(Signal(x, FS))
             a_neg = analytic_signal(Signal(-x, FS))
-            env = np.hypot(a_pos.real, a_pos.imag)
+            env = np.hypot(*a_pos)
             eps = 1e-12 * env.max()
-            p_pos = cosine_phase(a_pos, eps).values
-            p_neg = cosine_phase(a_neg, eps).values
+            p_pos = cosine_phase(a_pos)
+            p_neg = cosine_phase(a_neg)
             mask = env > eps
             assert np.max(np.abs(p_pos[mask] + p_neg[mask])) <= 1e-12
 
@@ -189,26 +189,14 @@ class TestEnvelopeAndPhase:
         n = 1600
         t = np.arange(n) / FS
         x = np.cos(2 * np.pi * 500 * t)
-        phase = cosine_phase(analytic_signal(Signal(x, FS))).values
+        phase = cosine_phase(analytic_signal(Signal(x, FS)))
         assert np.max(np.abs(phase[EDGE:-EDGE] - x[EDGE:-EDGE])) <= 1e-6
 
     def test_zero_signal_gives_zero_phase(self):
         phase = cosine_phase(analytic_signal(Signal(np.zeros(512), FS)))
-        assert not phase.values.any()
+        assert not phase.any()
 
     def test_phase_range(self):
         x = bandlimited_noise(4096, FS, 100, 6000, 11)
-        phase = cosine_phase(analytic_signal(Signal(x, FS))).values
+        phase = cosine_phase(analytic_signal(Signal(x, FS)))
         assert phase.min() >= -1.0 and phase.max() <= 1.0
-
-    def test_rejects_nonpositive_eps(self):
-        a = analytic_signal(Signal(np.ones(64), FS))
-        with pytest.raises(InvalidInputError):
-            cosine_phase(a, eps=0.0)
-
-    @pytest.mark.parametrize("eps", (float("nan"), float("inf"), -float("inf"), 0.0, -1.0))
-    def test_rejects_eps_not_positive_and_finite(self, eps):
-        # nan gave an all-NaN phase and inf an all-zero one
-        a = analytic_signal(Signal(np.sin(np.arange(1000) * 0.1), FS))
-        with pytest.raises(InvalidInputError):
-            cosine_phase(a, eps=eps)

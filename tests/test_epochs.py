@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec, estimate_mean_pitch,
-                            extract_epochs, generate_utterance, zff_filter)
+                            extract_epochs, generate_utterance, glottal_flow_estimate,
+                            zff_filter)
 from speechpolarity.epochs import PITCH_FALLBACK_HZ
 
 FS = 16000
@@ -125,6 +126,14 @@ class TestZffFilter:
         with pytest.raises(InvalidInputError):
             zff_filter(Signal(np.ones(64), FS), mean_pitch_hz=60.0)  # a 25 ms window
 
+    @pytest.mark.parametrize("stage", (zff_filter, glottal_flow_estimate))
+    @pytest.mark.parametrize("pitch", (0.0, -100.0, float("nan"), float("inf")))
+    def test_pitch_not_positive_and_finite_rejected(self, stage, pitch):
+        # unchecked, 0 and nan raised raw arithmetic errors, -100 gave a flow
+        # of magnitude 6e16, and -100 and inf clamped the ZFF window silently
+        with pytest.raises(InvalidInputError):
+            stage(utterance(120.0, seed=3), mean_pitch_hz=pitch)
+
     def test_supplied_pitch_matches_own_estimate(self):
         s = utterance(180.0, seed=11)
         own = zff_filter(s).samples
@@ -153,7 +162,7 @@ class TestExtractEpochs:
     def test_scale_invariance(self):
         s = utterance(150.0, seed=4)
         e_base = extract_epochs(zff_filter(s)).indices
-        e_scaled = extract_epochs(zff_filter(s.scaled(10.0))).indices
+        e_scaled = extract_epochs(zff_filter(Signal(10.0 * s.samples, FS))).indices
         assert np.array_equal(e_base, e_scaled)
 
     def test_silence_gives_empty(self):

@@ -1,11 +1,14 @@
-"""Antisymmetry and power-of-two scale invariance of both detectors on random voiced inputs."""
+"""Antisymmetry and power-of-two scale invariance of both detectors on random voiced inputs,
+and the output invariants of the analytic-signal stages on arbitrary finite inputs."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from speechpolarity import (Polarity, Signal, SynthSpec, detect_polarity_hp,
-                            detect_polarity_reskew, generate_utterance)
+from speechpolarity import (Polarity, Signal, SynthSpec, analytic_signal, cosine_phase,
+                            detect_polarity_hp, detect_polarity_reskew, generate_utterance,
+                            hilbert_envelope)
 
 DETECTORS = (detect_polarity_hp, detect_polarity_reskew)
 
@@ -42,3 +45,33 @@ def test_power_of_two_scaling_changes_nothing(spec, k):
     scaled = Signal(np.ldexp(s.samples, k), s.sample_rate_hz)
     for detect in DETECTORS:
         assert detect(scaled) == detect(s)
+
+
+# Short lengths of every factorization, and primes long enough (269 is the
+# first) that the Hilbert transform takes its padded convolution path.
+finite = arrays(np.float64, st.one_of(st.integers(1, 64), st.sampled_from((331, 509, 1009))),
+                elements=st.floats(-1e300, 1e300))
+
+
+@property_settings
+@given(x=finite)
+def test_envelope_is_finite_nonnegative_and_even(x):
+    env = hilbert_envelope(analytic_signal(Signal(x, 16000)))
+    assert np.all(np.isfinite(env)) and np.all(env >= 0.0)
+    assert hilbert_envelope(analytic_signal(Signal(-x, 16000))).tobytes() == env.tobytes()
+
+
+@property_settings
+@given(x=finite)
+def test_cosine_phase_is_bounded_and_odd(x):
+    phase = cosine_phase(analytic_signal(Signal(x, 16000)))
+    assert np.all(phase >= -1.0) and np.all(phase <= 1.0)
+    assert cosine_phase(analytic_signal(Signal(-x, 16000))).tobytes() == (-phase).tobytes()
+
+
+@property_settings
+@given(x=finite)
+def test_analytic_pair_starts_with_the_input(x):
+    s = Signal(x, 16000)
+    real, imag = analytic_signal(s)
+    assert real is s.samples and imag.shape == real.shape

@@ -301,14 +301,14 @@ class TestDetector:
         s = utterance(seed=12)
         base = detect_polarity_reskew(s).polarity
         for alpha in (1e-3, 0.5, 10.0):
-            assert detect_polarity_reskew(s.scaled(alpha)).polarity is base
+            assert detect_polarity_reskew(Signal(alpha * s.samples, FS)).polarity is base
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_extreme_scales_never_confidently_wrong(self):
         # the flow's moments under- or overflow here; a NaN statistic must not decide
         s = utterance(seed=12)
         for alpha in (1e-200, 1e-170, 1e-150, 1e150):
-            d = detect_polarity_reskew(s.scaled(alpha))
+            d = detect_polarity_reskew(Signal(alpha * s.samples, FS))
             assert d.polarity in (Polarity.POSITIVE, Polarity.INDETERMINATE)
 
     def test_silence_is_indeterminate(self):
