@@ -47,17 +47,19 @@ def estimate_mean_pitch(s: Signal) -> float:
     if x.size < int(0.1 * fs) or lag_hi + 1 >= frame or lag_lo < 1:  # refinement reads lag_hi + 1
         return PITCH_FALLBACK_HZ
 
-    frames = sliding_window_view(x, frame)[::hop]
-    frames = frames - frames.mean(axis=1, keepdims=True)
+    # A power-of-two scale to a peak in [0.5, 1) is exact, and keeps the
+    # autocorrelation of very loud or very quiet input from overflowing or underflowing.
+    exponent = np.frexp(max(x.max(), -x.min()))[1]
+    frames = np.ldexp(sliding_window_view(x, frame)[::hop], -exponent)
+    frames -= frames.mean(axis=1, keepdims=True)
     spec = np.fft.rfft(frames, 2 * frame, axis=1)
     acf = np.fft.irfft(spec * np.conj(spec), axis=1)[:, :frame]
 
-    # negated tests, so that NaN rows (from overflowing inputs) count as voiced
-    rows = np.flatnonzero(~(acf[:, 0] <= 0.0))
+    rows = np.flatnonzero(acf[:, 0] > 0.0)
     r0 = acf[rows, 0]
     seg = acf[rows, lag_lo:lag_hi + 1] / r0[:, None]
     k = np.argmax(seg, axis=1)
-    voiced = ~(seg.max(axis=1) < PITCH_VOICING_THRESHOLD)
+    voiced = seg.max(axis=1) >= PITCH_VOICING_THRESHOLD
     rows, r0, j = rows[voiced], r0[voiced], lag_lo + k[voiced]
     # parabolic refinement around the peak
     y0, y1, y2 = acf[rows, j - 1] / r0, acf[rows, j] / r0, acf[rows, j + 1] / r0

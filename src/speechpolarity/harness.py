@@ -6,14 +6,17 @@ the method.  When an SNR sweep is requested the noise is mixed first and
 the negated trial is the exact negation of the noisy waveform, so the
 decision-antisymmetry of both detectors makes the two orientations succeed
 or fail together; any violation is recorded as an internal-consistency
-failure.
+failure.  The trial loop only records one row per trial; every report
+figure (the per-method tallies and the per-SNR error rates) is computed
+from those per-file rows.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +113,7 @@ def parse_manifest(path, name: str | None = None) -> CorpusManifest:
     return CorpusManifest(name or path.stem, tuple(entries))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodTally:
     correct: int = 0
     false: int = 0
@@ -162,8 +165,9 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
     recorded with an error marker and counted as indeterminate; the batch
     never aborts on a file.  A ``file`` noise source is read once per level;
     one that cannot be read or has zero energy raises before any file is scored.
+    A method named more than once is run once.
     """
-    methods = tuple(m for m in methods if m)
+    methods = tuple(dict.fromkeys(m for m in methods if m))
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r}; expected subset of {tuple(METHODS)}")
@@ -178,9 +182,6 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
             if float(np.dot(noise, noise)) <= 0.0:
                 raise InvalidInputError(f"{level.path}: noise source has zero energy")
             noise_files[level_idx] = noise
-    tallies = {m: MethodTally() for m in methods}
-    per_snr: dict = {m: {} for m in methods} if noise_sweep else None
-    snr_counts = {m: {} for m in methods}
     records: list[TrialRecord] = []
     consistency: list[str] = []
 
@@ -199,7 +200,7 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
                     base = mix_noise(clean, replace(level, seed=seed), noise=noise_files.get(level_idx))
                 except InvalidInputError as exc:  # e.g. a silent file; recorded, not raised
                     base, base_error = None, str(exc)
-            outcomes = {}
+            block = len(records)
             for orientation, sig, expected in (
                     ("original", base, entry.true_polarity),
                     ("negated", None if base is None else base.negated(),
@@ -211,36 +212,36 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
                             decision = METHODS[m](sig)
                         except Exception as exc:  # recorded, not raised
                             error = str(exc)
-                    ok = decision is not None and decision.polarity is expected
-                    if decision is None:
-                        records.append(TrialRecord(entry.path, entry.kind, orientation, snr, m,
-                                                   expected.value, "error", "-", False, error=error))
-                    else:
-                        records.append(TrialRecord(entry.path, entry.kind, orientation, snr, m,
-                                                   expected.value, decision.polarity.value,
-                                                   decision.evidence(), ok))
-                    if ok:
-                        tallies[m].correct += 1
-                    elif decision is None or decision.polarity is Polarity.INDETERMINATE:
-                        tallies[m].indeterminate += 1
-                    else:
-                        tallies[m].false += 1
-                    outcomes.setdefault(m, []).append(ok)
-                    if per_snr is not None:
-                        bad, tot = snr_counts[m].get(snr, (0, 0))
-                        snr_counts[m][snr] = (bad + (0 if ok else 1), tot + 1)
-            for m, flags in outcomes.items():
-                if len(flags) == 2 and flags[0] != flags[1]:
-                    consistency.append(f"{entry.path} snr={snr} method={m}")
+                    records.append(TrialRecord(
+                        entry.path, entry.kind, orientation, snr, m, expected.value,
+                        "error" if decision is None else decision.polarity.value,
+                        "-" if decision is None else decision.evidence(),
+                        decision is not None and decision.polarity is expected, error))
+            original, negated = records[block:block + len(methods)], records[block + len(methods):]
+            consistency += [f"{entry.path} snr={snr} method={a.method}"
+                            for a, b in zip(original, negated) if a.correct != b.correct]
 
-    if per_snr is not None:
-        for m in methods:
-            per_snr[m] = {snr: bad / tot for snr, (bad, tot) in sorted(snr_counts[m].items())}
-
+    by_method = {m: [r for r in records if r.method == m] for m in methods}
+    per_method = {m: _tally(rows) for m, rows in by_method.items()}
+    per_snr = None
+    if noise_sweep:
+        per_snr = {m: {snr: _tally([r for r in rows if r.snr_db == snr]).error_rate
+                       for snr in sorted({r.snr_db for r in rows})}
+                   for m, rows in by_method.items()}
     records.sort(key=lambda r: (r.path, -1.0 if r.snr_db is None else r.snr_db,
                                 r.orientation, r.method))
-    return EvalReport(manifest.name, methods, {m: tallies[m] for m in methods},
-                      per_snr, records, consistency)
+    return EvalReport(manifest.name, methods, per_method, per_snr, records, consistency)
+
+
+def _outcome(r: TrialRecord) -> str:
+    """The MethodTally field a trial counts towards."""
+    if r.correct:
+        return "correct"
+    return "indeterminate" if r.decision in ("error", "indeterminate") else "false"
+
+
+def _tally(rows: list[TrialRecord]) -> MethodTally:
+    return MethodTally(**Counter(map(_outcome, rows)))
 
 
 def _report_dict(report: EvalReport) -> dict:
@@ -248,14 +249,8 @@ def _report_dict(report: EvalReport) -> dict:
         "corpus": report.name,
         "methods": list(report.methods),
         "per_method": {
-            m: {
-                "correct": t.correct,
-                "false": t.false,
-                "indeterminate": t.indeterminate,
-                "trials": t.trials,
-                "percent_correct": round(t.percent_correct, 4),
-                "error_rate": round(t.error_rate, 6),
-            }
+            m: {**asdict(t), "trials": t.trials, "percent_correct": round(t.percent_correct, 4),
+                "error_rate": round(t.error_rate, 6)}
             for m, t in report.per_method.items()
         },
         "consistency_failures": list(report.consistency_failures),
@@ -265,21 +260,8 @@ def _report_dict(report: EvalReport) -> dict:
             m: {f"{snr:g}": round(rate, 6) for snr, rate in levels.items()}
             for m, levels in report.per_snr.items()
         }
-    out["per_file"] = [
-        {
-            "path": r.path,
-            "kind": r.kind,
-            "orientation": r.orientation,
-            "snr_db": r.snr_db,
-            "method": r.method,
-            "expected": r.expected,
-            "decision": r.decision,
-            "evidence": r.evidence,
-            "correct": r.correct,
-            **({"error": r.error} if r.error else {}),
-        }
-        for r in report.per_file
-    ]
+    out["per_file"] = [{k: v for k, v in asdict(r).items() if k != "error" or v}
+                       for r in report.per_file]
     return out
 
 

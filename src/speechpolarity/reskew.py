@@ -63,14 +63,10 @@ def levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     err = r[:, 0].copy()
     ok = err > 0.0
     for i in range(1, p + 1):
-        if i > 1:
-            acc = np.einsum("fj,fj->f", a[:, 1:i], r[:, i - 1:0:-1])
-        else:
-            acc = np.zeros(nf)
+        acc = np.einsum("fj,fj->f", a[:, 1:i], r[:, i - 1:0:-1])  # +0.0 at i = 1
         safe = np.where(ok & (err > 0.0), err, 1.0)
         k = np.where(ok, -(r[:, i] + acc) / safe, 0.0)
-        if i > 1:
-            np.copyto(a[:, 1:i], a[:, 1:i] + k[:, None] * a[:, i - 1:0:-1], where=ok[:, None])
+        np.copyto(a[:, 1:i], a[:, 1:i] + k[:, None] * a[:, i - 1:0:-1], where=ok[:, None])
         # k is +0.0 on rows that broke down, and their a[:, i] is still the initial +0.0
         a[:, i] = k
         err = np.where(ok, err * (1.0 - k * k), err)

@@ -169,6 +169,18 @@ class TestEval:
         out = capsys.readouterr().out
         assert "\nhp " in out and "reskew" not in out
 
+    def test_repeated_method_counted_once(self, tmp_path, capsys):
+        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{wav.name},positive,speech\n", encoding="utf-8")
+        outputs = []
+        for methods in ("hp", "hp,hp"):
+            out = tmp_path / f"{methods}.json"
+            assert main(["eval", "--manifest", str(manifest), "--methods", methods,
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_config_flag_removed(self, tmp_path, capsys):
         wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
         manifest = tmp_path / "m.txt"

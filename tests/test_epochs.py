@@ -96,6 +96,20 @@ class TestMeanPitch:
             s = Signal(x, fs)
             assert repr(estimate_mean_pitch(s)) == repr(reference_mean_pitch(s))
 
+    @pytest.mark.parametrize("exponent", [-900, -40, 3, 1000])
+    def test_power_of_two_scaling_exact(self, exponent):
+        s = utterance(120.0, seed=3)
+        scaled = Signal(np.ldexp(s.samples, exponent), FS)
+        assert repr(estimate_mean_pitch(scaled)) == repr(estimate_mean_pitch(s))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e160, 1e200, 1e300])
+    def test_very_loud_and_quiet_input(self, scale):
+        # the frame autocorrelation would overflow (400 Hz, the top of the search) or
+        # underflow (the unvoiced fallback) without rescaling
+        s = utterance(120.0, seed=3)
+        scaled = Signal(scale * s.samples, FS)
+        assert estimate_mean_pitch(scaled) == pytest.approx(estimate_mean_pitch(s), rel=1e-9)
+
     def test_short_signal_falls_back(self):
         est = estimate_mean_pitch(Signal(np.ones(100), FS))
         assert est == 120.0

@@ -1,5 +1,7 @@
 """WAV I/O, manifest parsing, the evaluation protocol, and report rendering."""
 
+import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -8,8 +10,9 @@ from scipy.io import wavfile
 
 from speechpolarity import harness
 from speechpolarity import (CorpusManifest, InvalidInputError, ManifestEntry, NoiseSpec,
-                            Polarity, PolarityDecision, Signal, SynthSpec, evaluate_corpus,
-                            generate_utterance, load_wav, parse_manifest, render_report, save_wav)
+                            Polarity, PolarityDecision, Signal, SynthSpec, TrialRecord,
+                            evaluate_corpus, generate_utterance, load_wav, parse_manifest,
+                            render_report, save_wav)
 from speechpolarity.cli import main
 
 FS = 16000
@@ -250,6 +253,60 @@ class TestMethodRegistry:
         assert calls == ["hp", "reskew"]
         assert capsys.readouterr().out.splitlines() == [
             "hp: positive (votes +0/-9 anchors=9)", "reskew: negative (statistic=-0.5)"]
+
+
+POS, NEG, IND = Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.INDETERMINATE
+
+
+def cycling_stub(answers):
+    """A detector that returns the given polarities in turn; None raises instead."""
+    turn = itertools.cycle(answers)
+
+    def detect(s):
+        polarity = next(turn)
+        if polarity is None:
+            raise RuntimeError("stub failure")
+        return PolarityDecision(polarity, positive_votes=1, anchors_used=1)
+    return detect
+
+
+class TestConsistencyFailures:
+    @pytest.fixture()
+    def report(self, tmp_path, monkeypatch):
+        # Odd cycle lengths, so consecutive (file, level) blocks see different answer pairs.
+        monkeypatch.setattr(harness, "detect_polarity_hp", cycling_stub((POS, NEG, IND, None, NEG)))
+        monkeypatch.setattr(harness, "detect_polarity_reskew", cycling_stub((NEG, POS, None)))
+        corpus = make_corpus(tmp_path, [
+            ("c", 100.0, Polarity.POSITIVE, "speech"),
+            ("a", 150.0, Polarity.NEGATIVE, "egg"),
+            ("b", 210.0, Polarity.POSITIVE, "speech"),
+        ])
+        ghost = ManifestEntry(str(tmp_path / "ghost.wav"), Polarity.POSITIVE, "speech")
+        entries = corpus.entries[:2] + (ghost,) + corpus.entries[2:]  # not sorted by path
+        sweep = [NoiseSpec("white", snr, seed=6) for snr in (20.0, 5.0, 20.0)]
+        return evaluate_corpus(CorpusManifest("stubbed", entries), noise_sweep=sweep)
+
+    def test_failures_in_manifest_sweep_method_order(self, report, tmp_path):
+        assert report.consistency_failures == [
+            f"{tmp_path / name}.wav snr={snr} method={m}" for name, snr, m in (
+                ("c", 5.0, "reskew"), ("c", 20.0, "reskew"), ("a", 20.0, "hp"),
+                ("b", 5.0, "reskew"), ("b", 20.0, "reskew"))]
+
+    def test_tallies(self, report):
+        # (correct, false, indeterminate); the missing file adds 6 indeterminate trials per method
+        tallies = {m: (t.correct, t.false, t.indeterminate) for m, t in report.per_method.items()}
+        assert tallies == {"hp": (3, 8, 13), "reskew": (6, 6, 12)}
+
+    def test_per_snr(self, report):
+        assert report.per_snr == {"hp": {5.0: 1.0, 20.0: 0.8125}, "reskew": {5.0: 0.75, 20.0: 0.75}}
+        assert [list(levels) for levels in report.per_snr.values()] == [[5.0, 20.0], [5.0, 20.0]]
+
+    def test_json_rows_follow_record_fields(self, report):
+        names = [f.name for f in dataclasses.fields(TrialRecord)]
+        rows = json.loads(render_report(report, "json"))["per_file"]
+        assert {row["decision"] for row in rows} == {"positive", "negative", "indeterminate", "error"}
+        for row in rows:
+            assert list(row) == (names if row["decision"] == "error" else names[:-1])
 
 
 class TestRenderReport:
