@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .smoothing import centered_moving_average
+from .dsp import centered_moving_average
 from .types import EpochList, InvalidInputError, Signal
 
 # Crossings this close to the signal boundary are discarded (FFT-edge zone
@@ -73,7 +73,7 @@ def estimate_mean_pitch(s: Signal) -> float:
     return float(np.mean(pitches))
 
 
-def zff_filter(s: Signal, mean_pitch_hz: float | None = None) -> Signal:
+def zff_filter(s: Signal, mean_pitch_hz: float) -> Signal:
     """Zero-frequency filter: difference, double resonator pass, trend removal.
 
     The input is differenced, passed twice through the zero-frequency
@@ -83,14 +83,11 @@ def zff_filter(s: Signal, mean_pitch_hz: float | None = None) -> Signal:
     The outermost two trend windows are zeroed: the truncated-window mean
     cannot track the polynomial growth right at the boundaries, and anchors
     that close to the edges are of no use downstream.  The trend window is
-    1.5 mean pitch periods, clamped to [3, 25] ms; the pitch is
-    ``mean_pitch_hz`` when given (it must be positive and finite), else
-    estimated from ``s``.
+    1.5 periods of ``mean_pitch_hz`` (``estimate_mean_pitch``'s result; it
+    must be positive and finite), clamped to [3, 25] ms.
     """
     fs = s.sample_rate_hz
-    if mean_pitch_hz is None:
-        mean_pitch_hz = estimate_mean_pitch(s)
-    elif not 0.0 < mean_pitch_hz < np.inf:
+    if not 0.0 < mean_pitch_hz < np.inf:
         raise InvalidInputError(f"mean pitch must be positive and finite, got {mean_pitch_hz}")
     window_ms = float(np.clip(1.5 * 1000.0 / mean_pitch_hz, 3.0, 25.0))
     width = int(round(window_ms * fs / 1000.0))

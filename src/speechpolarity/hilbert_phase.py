@@ -36,13 +36,11 @@ the vote count below which the detector abstains are module constants
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import butter, filtfilt
+from scipy.signal import filtfilt
 
-from .dsp import analytic_signal, cosine_phase, hilbert_envelope
+from .dsp import analytic_signal, butterworth, cosine_phase, hilbert_envelope
 from .epochs import estimate_mean_pitch, extract_epochs, zff_filter
 from .reskew import glottal_flow_estimate
 from .types import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
@@ -116,22 +114,6 @@ def _phase_reads(phase: np.ndarray, sample_rate_hz: int, peaks: np.ndarray,
     return means
 
 
-@lru_cache
-def _band_filter(sample_rate_hz: int) -> tuple[np.ndarray, np.ndarray]:
-    # detector_input requires fs >= 1 kHz, so the upper edge is at least 475 Hz
-    nyq = sample_rate_hz / 2.0
-    high = min(BAND_HIGH_HZ, 0.95 * nyq)
-    b, a = butter(2, [BAND_LOW_HZ / nyq, high / nyq], btype="band")
-    b.flags.writeable = a.flags.writeable = False
-    return b, a
-
-
-def _band_limit(s: Signal) -> Signal:
-    # the Butterworth band-pass is designed once per sample rate
-    b, a = _band_filter(s.sample_rate_hz)
-    return Signal(filtfilt(b, a, s.samples), s.sample_rate_hz)
-
-
 def detect_polarity_hp(s: Signal) -> PolarityDecision:
     """Vote-based polarity decision; see the module docstring for the pipeline.
 
@@ -140,18 +122,18 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
     polarity through ``VOTE_SIGN_FOR_POSITIVE`` (see ``calibrate``).
     """
     s = detector_input(s)
+    fs = s.sample_rate_hz
 
-    band = _band_limit(s)
+    # detector_input requires fs >= 1 kHz, so the upper band edge is at least 475 Hz
+    band = Signal(filtfilt(*butterworth(2, fs, BAND_HIGH_HZ, BAND_LOW_HZ), s.samples), fs)
     pitch = estimate_mean_pitch(band)
-    epochs = extract_epochs(zff_filter(band, mean_pitch_hz=pitch))
-    derivative = Signal(np.gradient(band.samples), band.sample_rate_hz)
-    peaks = select_he_peaks(hilbert_envelope(analytic_signal(derivative)), epochs)
+    epochs = extract_epochs(zff_filter(band, pitch))
+    peaks = select_he_peaks(hilbert_envelope(analytic_signal(np.gradient(band.samples))), epochs)
 
     positive = negative = 0
     if peaks.size:
         flow = glottal_flow_estimate(band, HP_RESIDUAL_ORDER, mean_pitch_hz=pitch)
-        means = _phase_reads(cosine_phase(analytic_signal(flow)), flow.sample_rate_hz, peaks,
-                             pitch)
+        means = _phase_reads(cosine_phase(analytic_signal(flow)), fs, peaks, pitch)
         positive = int(np.count_nonzero(means >= MIN_PHASE_MAGNITUDE))
         negative = int(np.count_nonzero(means <= -MIN_PHASE_MAGNITUDE))
 

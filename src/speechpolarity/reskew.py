@@ -10,15 +10,14 @@ confuses waveform-level statistics.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import butter, filtfilt, lfilter
+from scipy.signal import filtfilt, lfilter
 
+from .dsp import butterworth, centered_moving_average
 from .epochs import estimate_mean_pitch
-from .smoothing import centered_moving_average
 from .types import (InvalidInputError, Polarity, PolarityDecision, Signal, UndefinedStatisticError,
                     detector_input)
 
@@ -86,7 +85,7 @@ def _overlap_add(acc: np.ndarray, rows: np.ndarray, first: int, hop: int) -> Non
         acc[start:start + count * hop].reshape(count, hop)[:, :block.shape[1]] += block
 
 
-def lp_residual(s: Signal, order: int | None = None) -> Signal:
+def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
     """Inverse-filter the signal with per-frame autocorrelation LP coefficients.
 
     The LP order is ``order``, an integer in [4, 40], or by default
@@ -164,7 +163,7 @@ def lp_residual(s: Signal, order: int | None = None) -> Signal:
         out[x.size - frame:x.size] += np.correlate(frames[-1], taps[-1], "full")[:frame] * window
         weight[x.size - frame:x.size] += window
     # every sample lies in a frame, and the Hamming window is positive
-    return Signal(out[:x.size] / weight[:x.size], fs)
+    return out[:x.size] / weight[:x.size]
 
 
 def skewness(x) -> float:
@@ -183,17 +182,8 @@ def skewness(x) -> float:
     return float(m3 / denom)
 
 
-@lru_cache
-def _smoothing_filter(sample_rate_hz: int) -> tuple[np.ndarray, np.ndarray]:
-    nyq = sample_rate_hz / 2.0
-    cutoff = min(RESIDUAL_SMOOTH_HZ, 0.95 * nyq)
-    b, a = butter(4, cutoff / nyq, btype="low")
-    b.flags.writeable = a.flags.writeable = False
-    return b, a
-
-
-def glottal_flow_estimate(s: Signal, order: int | None = None,
-                          mean_pitch_hz: float | None = None) -> Signal:
+def glottal_flow_estimate(s: Signal, order: int | None = None, *,
+                          mean_pitch_hz: float) -> np.ndarray:
     """Rough glottal-flow approximation from the LP residual.
 
     The residual at LP order ``order`` (default: ``lp_residual``'s rule) is
@@ -201,25 +191,19 @@ def glottal_flow_estimate(s: Signal, order: int | None = None,
     roughly ``INTEGRATION_PERIODS`` pitch periods, and detrended with a
     centered moving average of ``DETREND_PERIODS`` pitch periods so that
     integration drift and sub-pitch noise do not drown the flow bumps.
-    A given ``mean_pitch_hz`` must be positive and finite; by default it is
-    estimated from ``s``.  The Butterworth lowpass is designed once per
-    sample rate.
+    ``mean_pitch_hz`` is ``estimate_mean_pitch``'s result; it must be
+    positive and finite.
     """
     fs = s.sample_rate_hz
-    if mean_pitch_hz is None:
-        mean_pitch_hz = estimate_mean_pitch(s)
-    elif not 0.0 < mean_pitch_hz < np.inf:
+    if not 0.0 < mean_pitch_hz < np.inf:
         raise InvalidInputError(f"mean pitch must be positive and finite, got {mean_pitch_hz}")
-    e = lp_residual(s, order).samples
-
-    b, a = _smoothing_filter(fs)
-    smooth = filtfilt(b, a, e)
+    b, a = butterworth(4, fs, RESIDUAL_SMOOTH_HZ)
+    smooth = filtfilt(b, a, lp_residual(s, order))
 
     tau = INTEGRATION_PERIODS * fs / mean_pitch_hz
     pole = float(np.exp(-1.0 / tau))
     g = lfilter([1.0], [1.0, -pole], smooth)
-    g = g - centered_moving_average(g, int(round(DETREND_PERIODS * fs / mean_pitch_hz)))
-    return Signal(g, fs)
+    return g - centered_moving_average(g, int(round(DETREND_PERIODS * fs / mean_pitch_hz)))
 
 
 def reskew_statistic(s: Signal) -> float:
@@ -227,8 +211,7 @@ def reskew_statistic(s: Signal) -> float:
 
     Odd under sample negation and invariant under positive rescaling.
     """
-    g = glottal_flow_estimate(s)
-    return skewness(g.samples)
+    return skewness(glottal_flow_estimate(s, mean_pitch_hz=estimate_mean_pitch(s)))
 
 
 def detect_polarity_reskew(s: Signal) -> PolarityDecision:

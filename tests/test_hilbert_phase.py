@@ -5,13 +5,16 @@ import pytest
 from scipy.signal import butter, resample_poly
 
 from speechpolarity import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
-                            SynthSpec, analytic_signal,
-                            detect_polarity_hp, detect_polarity_reskew, extract_epochs,
-                            generate_utterance, generate_utterance_with_instants,
-                            hilbert_envelope, hilbert_phase, reskew, select_he_peaks, zff_filter)
+                            SynthSpec, analytic_signal, detect_polarity_hp,
+                            detect_polarity_reskew, dsp, estimate_mean_pitch,
+                            extract_epochs, generate_utterance, generate_utterance_with_instants,
+                            glottal_flow_estimate, hilbert_envelope, hilbert_phase, reskew,
+                            select_he_peaks, zff_filter)
+from speechpolarity import epochs as zff_stage
+from speechpolarity.dsp import butterworth
 from speechpolarity.hilbert_phase import (BAND_HIGH_HZ, BAND_LOW_HZ, MIN_PHASE_MAGNITUDE,
                                           MIN_VOTES, PEAK_SEARCH_MS, PHASE_SPAN_PERIODS,
-                                          PROMINENCE_FLOOR, _band_filter, _phase_reads)
+                                          PROMINENCE_FLOOR, _phase_reads)
 
 FS = 16000
 
@@ -27,8 +30,8 @@ class TestSelectHePeaks:
         spec = SynthSpec(pitch_hz=100.0, duration_s=1.0, sample_rate_hz=FS,
                          jitter_pct=1.0, seed=21)
         s, instants = generate_utterance_with_instants(spec)
-        env = hilbert_envelope(analytic_signal(s))
-        epochs = extract_epochs(zff_filter(s))
+        env = hilbert_envelope(analytic_signal(s.samples))
+        epochs = extract_epochs(zff_filter(s, estimate_mean_pitch(s)))
         peaks = select_he_peaks(env, epochs)
         assert peaks.size > 50
         tol = int(0.001 * FS)
@@ -37,10 +40,10 @@ class TestSelectHePeaks:
 
     def test_negation_invariance(self):
         s = utterance(seed=22)
-        env_p = hilbert_envelope(analytic_signal(s))
-        env_n = hilbert_envelope(analytic_signal(s.negated()))
-        e_p = extract_epochs(zff_filter(s))
-        e_n = extract_epochs(zff_filter(s.negated()))
+        env_p = hilbert_envelope(analytic_signal(s.samples))
+        env_n = hilbert_envelope(analytic_signal(-s.samples))
+        e_p = extract_epochs(zff_filter(s, estimate_mean_pitch(s)))
+        e_n = extract_epochs(zff_filter(s.negated(), estimate_mean_pitch(s.negated())))
         assert np.array_equal(select_he_peaks(env_p, e_p), select_he_peaks(env_n, e_n))
 
     def test_empty_epochs_give_empty(self):
@@ -294,7 +297,9 @@ class TestFilterDesignCache:
         fresh = (butter(2, [BAND_LOW_HZ / nyq, min(BAND_HIGH_HZ, 0.95 * nyq) / nyq],
                         btype="band"),
                  butter(4, min(reskew.RESIDUAL_SMOOTH_HZ, 0.95 * nyq) / nyq, btype="low"))
-        for cached, expected in zip((_band_filter(fs), reskew._smoothing_filter(fs)), fresh):
+        cached_designs = (butterworth(2, fs, BAND_HIGH_HZ, BAND_LOW_HZ),
+                          butterworth(4, fs, reskew.RESIDUAL_SMOOTH_HZ))
+        for cached, expected in zip(cached_designs, fresh):
             for got, want in zip(cached, expected):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
                 with pytest.raises(ValueError):
@@ -302,23 +307,46 @@ class TestFilterDesignCache:
 
     @pytest.mark.parametrize("fs", CACHE_RATES)
     def test_second_call_at_a_rate_designs_nothing(self, fs, monkeypatch):
-        calls = {hilbert_phase: 0, reskew: 0}
+        calls = {"band": 0, "low": 0}
 
-        def counting(module):
-            def design(*args, **kwargs):
-                calls[module] += 1
-                return butter(*args, **kwargs)
-            return design
+        def design(*args, btype, **kwargs):
+            calls[btype] += 1
+            return butter(*args, btype=btype, **kwargs)
 
-        for module in calls:
-            monkeypatch.setattr(module, "butter", counting(module))
-        _band_filter.cache_clear()
-        reskew._smoothing_filter.cache_clear()
+        monkeypatch.setattr(dsp, "butter", design)
+        butterworth.cache_clear()
         x = generate_utterance(SynthSpec(pitch_hz=110.0, sample_rate_hz=48000, seed=95)).samples
         s = Signal(resample_poly(x, fs, 48000), fs)
         assert detect_polarity_hp(s).anchors_used > 0  # the flow stage ran
         detect_polarity_reskew(s)
-        assert calls == {hilbert_phase: 1, reskew: 1}
+        assert calls == {"band": 1, "low": 1}
         detect_polarity_hp(s)
         detect_polarity_reskew(s.negated())
-        assert calls == {hilbert_phase: 1, reskew: 1}
+        assert calls == {"band": 1, "low": 1}
+
+
+class TestPitchEstimatedOnce:
+    """Each detector estimates the mean pitch once; the stages take it as an argument."""
+
+    @pytest.fixture
+    def pitch_calls(self, monkeypatch):
+        calls = []
+
+        def counting(s):
+            calls.append(s.sample_rate_hz)
+            return estimate_mean_pitch(s)
+
+        for module in (zff_stage, hilbert_phase, reskew):
+            monkeypatch.setattr(module, "estimate_mean_pitch", counting)
+        return calls
+
+    @pytest.mark.parametrize("detect", (detect_polarity_hp, detect_polarity_reskew))
+    def test_one_estimate_per_detector_call(self, detect, pitch_calls):
+        detect(utterance(seed=33))
+        assert len(pitch_calls) == 1
+
+    def test_stages_given_a_pitch_estimate_none(self, pitch_calls):
+        s = utterance(seed=33)
+        zff_filter(s, 120.0)
+        glottal_flow_estimate(s, mean_pitch_hz=120.0)
+        assert pitch_calls == []

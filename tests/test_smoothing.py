@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from speechpolarity.smoothing import centered_moving_average
+from speechpolarity.dsp import centered_moving_average
 
 
 def reference_moving_average(x, width_samples):
