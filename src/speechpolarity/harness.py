@@ -38,7 +38,7 @@ INT16_SCALE = 32768.0
 
 
 def load_wav(path) -> Signal:
-    """Read a mono PCM-16 or float-32 WAV file, normalized to [-1, 1]."""
+    """Read a mono PCM-16, float-32 or float-64 WAV file; PCM-16 is scaled to [-1, 1)."""
     path = Path(path)
     try:
         rate, data = wavfile.read(path)
@@ -56,7 +56,7 @@ def load_wav(path) -> Signal:
         samples = data
     else:
         raise InvalidInputError(f"{path}: unsupported sample format {data.dtype}; "
-                                "use 16-bit PCM or 32-bit float")
+                                "use 16-bit PCM, 32-bit float or 64-bit float")
     return Signal(samples, int(rate))
 
 
@@ -175,11 +175,11 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
         raise InvalidInputError("manifest is empty")
 
     levels: list[NoiseSpec | None] = [None] if not noise_sweep else list(noise_sweep)
-    noise_files = {}  # level index -> samples of its `file` noise source
+    noise_files = {}  # level index -> its `file` noise source
     for level_idx, level in enumerate(levels):
         if level is not None and level.kind == "file":
-            noise = load_wav(level.path).samples
-            if float(np.dot(noise, noise)) <= 0.0:
+            noise = load_wav(level.path)
+            if float(np.dot(noise.samples, noise.samples)) <= 0.0:
                 raise InvalidInputError(f"{level.path}: noise source has zero energy")
             noise_files[level_idx] = noise
     records: list[TrialRecord] = []
@@ -198,7 +198,7 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
                 seed = int(np.random.SeedSequence((level.seed, file_idx, level_idx)).generate_state(1)[0])
                 try:
                     base = mix_noise(clean, replace(level, seed=seed), noise=noise_files.get(level_idx))
-                except InvalidInputError as exc:  # e.g. a silent file; recorded, not raised
+                except InvalidInputError as exc:  # e.g. a silent file or another rate; recorded
                     base, base_error = None, str(exc)
             block = len(records)
             for orientation, sig, expected in (

@@ -34,7 +34,6 @@ LP_HOP_MS = 5.0
 RESIDUAL_SMOOTH_HZ = 800.0
 INTEGRATION_PERIODS = 2.0
 DETREND_PERIODS = 1.2
-_OLA_CHUNK_FRAMES = 1024  # filtered frames held at once for the overlap-add
 
 
 def _lp_order(order: int | None, sample_rate_hz: int) -> int:
@@ -73,18 +72,6 @@ def levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, err, ok
 
 
-def _overlap_add(acc: np.ndarray, rows: np.ndarray, first: int, hop: int) -> None:
-    # acc[(first + f) * hop + j] += rows[f, j], one hop-sized block of all
-    # rows at a time.  Blocks go from the rows' last to their first, so each
-    # sample takes the rows that cover it oldest first, as a loop over the
-    # rows would.  acc needs hop samples beyond the last row's end.
-    count, frame = rows.shape
-    for d in range((frame - 1) // hop, -1, -1):
-        block = rows[:, d * hop:(d + 1) * hop]
-        start = (first + d) * hop
-        acc[start:start + count * hop].reshape(count, hop)[:, :block.shape[1]] += block
-
-
 def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
     """Inverse-filter the signal with per-frame autocorrelation LP coefficients.
 
@@ -104,12 +91,10 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
     C routine and operands of ``np.convolve`` without its per-call wrapper,
     and bitwise equal to ``lfilter``'s FIR path.  ``np.convolve`` swaps its
     operands unless the frame is the longer one, so a frame of at most
-    order + 1 samples (possible only below 1.7 kHz) is rejected.  The
-    filtered frames are windowed and overlap-added ``_OLA_CHUNK_FRAMES`` at
-    a time, in hop-sized blocks that add the frames covering a sample
-    oldest first, and the off-grid last frame is added last.  These are the
-    additions of a per-frame loop in its order, so the residual matches a
-    per-frame ``lfilter`` loop bit for bit.
+    order + 1 samples (possible only below 1.7 kHz) is rejected.  One loop
+    filters, windows and adds the frames in start order, the additions of a
+    per-frame ``lfilter`` loop in its order, so the residual matches that
+    loop bit for bit.
     Zero-energy frames contribute a zero residual; a frame whose Levinson
     recursion breaks down falls back to the previous healthy frame's
     coefficients, or to the identity filter before the first healthy frame.
@@ -128,8 +113,7 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
         raise InvalidInputError(
             f"signal too short for LP analysis: {x.size} samples < 2 frames ({2 * frame})")
 
-    grid = (x.size - frame) // hop + 1  # frames on the hop grid
-    starts = np.arange(grid) * hop
+    starts = np.arange(0, x.size - frame + 1, hop)
     if starts[-1] + frame < x.size:
         starts = np.append(starts, x.size - frame)
     window = np.hamming(frame)
@@ -150,20 +134,12 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
     last_ok = np.maximum.accumulate(np.where(ok, np.arange(1, len(starts) + 1), 0))
     taps = np.concatenate([identity, coeffs])[last_ok, ::-1]
 
-    out = np.zeros(x.size + hop)
-    weight = np.zeros(x.size + hop)
-    for first in range(0, grid, _OLA_CHUNK_FRAMES):
-        rows = np.empty((min(_OLA_CHUNK_FRAMES, grid - first), frame))
-        for i, f in enumerate(range(first, first + len(rows))):
-            rows[i] = np.correlate(frames[f * hop], taps[f], "full")[:frame]
-        rows *= window
-        _overlap_add(out, rows, first, hop)
-        _overlap_add(weight, np.broadcast_to(window, rows.shape), first, hop)
-    if len(starts) > grid:
-        out[x.size - frame:x.size] += np.correlate(frames[-1], taps[-1], "full")[:frame] * window
-        weight[x.size - frame:x.size] += window
+    out, weight = np.zeros((2, x.size))
+    for start, row in zip(starts.tolist(), taps):
+        out[start:start + frame] += np.correlate(frames[start], row, "full")[:frame] * window
+        weight[start:start + frame] += window
     # every sample lies in a frame, and the Hamming window is positive
-    return out[:x.size] / weight[:x.size]
+    return out / weight
 
 
 def skewness(x) -> float:

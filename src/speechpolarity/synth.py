@@ -152,10 +152,10 @@ def _fit_length(noise: np.ndarray, n: int) -> np.ndarray:
     return np.tile(noise, reps)[:n]
 
 
-def mix_noise(s: Signal, spec: NoiseSpec, *, noise: np.ndarray | None = None) -> Signal:
+def mix_noise(s: Signal, spec: NoiseSpec, *, noise: Signal | None = None) -> Signal:
     """Add noise scaled so the full-signal energy ratio matches ``spec.snr_db``.
 
-    A ``file`` source is read from ``spec.path`` unless passed as ``noise``.
+    A ``file`` source (``noise``, else read from ``spec.path``) must have the signal's rate.
     """
     energy = float(np.dot(s.samples, s.samples))
     if energy <= 0.0:
@@ -167,7 +167,11 @@ def mix_noise(s: Signal, spec: NoiseSpec, *, noise: np.ndarray | None = None) ->
         noise = _pink_noise(s.samples.size, rng)
     else:
         from .harness import load_wav  # deferred: harness owns file I/O
-        noise = _fit_length(load_wav(spec.path).samples if noise is None else noise, s.samples.size)
+        noise = load_wav(spec.path) if noise is None else noise
+        if noise.sample_rate_hz != s.sample_rate_hz:
+            raise InvalidInputError(f"{spec.path}: noise sampled at {noise.sample_rate_hz} Hz, "
+                                    f"the signal at {s.sample_rate_hz} Hz")
+        noise = _fit_length(noise.samples, s.samples.size)
     noise_energy = float(np.dot(noise, noise))
     if noise_energy <= 0.0:
         raise InvalidInputError("noise source has zero energy")

@@ -54,6 +54,14 @@ class TestWavIO:
         s = load_wav(path)
         assert np.allclose(s.samples, data, atol=1e-7)
 
+    def test_float64_read_as_is(self, tmp_path):
+        path = tmp_path / "f64.wav"
+        data = np.linspace(-1.5, 1.5, 101) / 3.0
+        wavfile.write(path, FS, data)
+        s = load_wav(path)
+        assert s.sample_rate_hz == FS
+        assert s.samples.tobytes() == data.tobytes()
+
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
         wavfile.write(path, FS, np.zeros((100, 2), dtype=np.int16))
@@ -168,6 +176,28 @@ class TestEvaluateCorpus:
         with pytest.raises(InvalidInputError, match="zero energy"):
             evaluate_corpus(manifest, methods=("hp",),
                             noise_sweep=[NoiseSpec("file", 10.0, seed=1, path=str(noise))])
+
+    def test_noise_file_at_another_rate_gives_error_rows(self, tmp_path):
+        # the 16 kHz noise fits the 16 kHz file only; the 8 kHz file's trials are
+        # error rows and the batch goes on
+        noise = tmp_path / "noise16k.wav"
+        rng = np.random.default_rng(7)
+        wavfile.write(noise, 16000, (3000 * rng.standard_normal(16000)).astype(np.int16))
+        entries = []
+        for name, fs in (("narrow", 8000), ("wide", 16000)):
+            path = tmp_path / f"{name}.wav"
+            save_wav(path, generate_utterance(SynthSpec(pitch_hz=120.0, duration_s=0.6,
+                                                        sample_rate_hz=fs, seed=fs)))
+            entries.append(ManifestEntry(str(path), Polarity.POSITIVE, "speech"))
+        sweep = [NoiseSpec("file", snr, seed=3, path=str(noise)) for snr in (20.0, 10.0)]
+        report = evaluate_corpus(CorpusManifest("rates", tuple(entries)),
+                                 methods=("hp", "reskew"), noise_sweep=sweep)
+        assert len(report.per_file) == 16  # 2 files x 2 levels x 2 orientations x 2 methods
+        for r in report.per_file:
+            if r.path.endswith("narrow.wav"):
+                assert r.decision == "error" and "16000 Hz" in r.error
+            else:
+                assert r.decision != "error" and r.error is None
 
     def test_noise_file_read_once_per_level(self, tmp_path, monkeypatch):
         noise_path = tmp_path / "noise.wav"

@@ -218,7 +218,7 @@ class TestLpResidual:
     def test_matches_reference_where_frame_is_off_the_hop_grid(self, fs):
         # frame/hop = 276/55, 551/110 and 1102/220 samples: no whole number of hops.
         # Lengths cut short of the hop grid take the extra last frame; 6 s is
-        # 1,200 frames, more than one overlap-add chunk.
+        # 1,200 frames against the 1 s input's 200.
         frame = int(round(LP_FRAME_MS * fs / 1000.0))
         hop = int(round(LP_HOP_MS * fs / 1000.0))
         assert frame % hop
@@ -231,6 +231,18 @@ class TestLpResidual:
                       long[:-1]):
                 s = Signal(y, fs)
                 assert lp_residual(s, order).tobytes() == reference_lp_residual(s, order).tobytes()
+
+    @pytest.mark.parametrize("fs", (8000, 11025, 16000, 44100))
+    def test_two_frames_are_the_shortest_input(self, fs):
+        # 2 frames at 11.025 and 44.1 kHz end off the hop grid and take the extra last frame
+        frame = int(round(LP_FRAME_MS * fs / 1000.0))
+        x = generate_utterance(SynthSpec(pitch_hz=150.0, duration_s=0.1, sample_rate_hz=fs,
+                                         seed=21)).samples
+        for order in (None, 8):
+            s = Signal(x[:2 * frame], fs)
+            assert lp_residual(s, order).tobytes() == reference_lp_residual(s, order).tobytes()
+            with pytest.raises(InvalidInputError, match="too short"):
+                lp_residual(Signal(x[:2 * frame - 1], fs), order)
 
     def test_frame_not_longer_than_filter_rejected(self):
         # np.correlate computes np.convolve's bits only for a frame longer than the filter

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from speechpolarity import (InvalidInputError, NoiseSpec, Polarity, Signal, SynthSpec,
-                            generate_utterance, generate_utterance_with_instants, mix_noise)
+                            generate_utterance, generate_utterance_with_instants, load_wav,
+                            mix_noise)
 
 FS = 16000
 
@@ -101,6 +103,18 @@ class TestMixNoise:
     def test_missing_noise_file(self):
         with pytest.raises(FileNotFoundError):
             mix_noise(self.clean, NoiseSpec("file", 10.0, path="/nonexistent/babble.wav"))
+
+    def test_noise_file_at_another_rate_rejected(self, tmp_path):
+        path = tmp_path / "noise48k.wav"
+        wavfile.write(path, 48000, np.random.default_rng(6).standard_normal(48000).astype(np.float32))
+        spec = NoiseSpec("file", 10.0, path=str(path))
+        with pytest.raises(InvalidInputError, match="48000 Hz"):
+            mix_noise(self.clean, spec)
+        with pytest.raises(InvalidInputError, match="48000 Hz"):
+            mix_noise(self.clean, spec, noise=load_wav(path))
+        same_rate = Signal(np.random.default_rng(6).standard_normal(FS), FS)
+        mixed = mix_noise(self.clean, spec, noise=same_rate)
+        assert abs(measured_snr_db(mixed, self.clean) - 10.0) <= 0.01
 
     def test_noise_spec_validation(self):
         with pytest.raises(InvalidInputError):
