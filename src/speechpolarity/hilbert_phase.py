@@ -27,31 +27,43 @@ approximation are what make the votes indifferent to the formant
 configuration and to broadband noise; the vote logic itself reads the
 analytic-signal phase at envelope peaks.
 
-The method is one fixed pipeline with nothing settable: the band edges,
-the peak search, the span and the abstention level of the phase read, and
-the vote count below which the detector abstains are module constants
-(``BAND_LOW_HZ``, ``BAND_HIGH_HZ``, ``PEAK_SEARCH_MS``, ``PROMINENCE_FLOOR``,
-``PHASE_SPAN_PERIODS``, ``MIN_PHASE_MAGNITUDE``, ``MIN_VOTES``).
+Every stage runs at no more than ``HP_ANALYSIS_RATE_HZ`` (16 kHz): input
+sampled faster is resampled once, polyphase, before the band-pass, since
+neither the anchors nor the 60-1600 Hz band need more, and the order-8 LP
+that suffices for that band at 16 kHz gives confidently wrong flows at
+32-48 kHz.  Input at or below 16 kHz is analysed at its own rate.
+
+The method is one fixed pipeline with nothing settable: the analysis rate,
+the band edges, the peak search, the span and the abstention level of the
+phase read, and the vote count below which the detector abstains are module
+constants (``HP_ANALYSIS_RATE_HZ``, ``BAND_LOW_HZ``, ``BAND_HIGH_HZ``,
+``PEAK_SEARCH_MS``, ``PROMINENCE_FLOOR``, ``PHASE_SPAN_PERIODS``,
+``MIN_PHASE_MAGNITUDE``, ``MIN_VOTES``).
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import filtfilt
+from scipy.signal import filtfilt, resample_poly
 
-from .dsp import analytic_signal, butterworth, cosine_phase, hilbert_envelope
+from .dsp import analytic_signal, butterworth, cosine_phase, hilbert_envelope, resampling_fir
 from .epochs import estimate_mean_pitch, extract_epochs, zff_filter
 from .reskew import glottal_flow_estimate
 from .types import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
                     detector_input)
 
-# LP order for the band-limited detector path: enough poles for the formants
-# inside the band plus its edges.  At high pitch the autocorrelation fit can
-# still lock a pole pair onto a single harmonic (F1 on f0 or 2 f0) and notch
-# it out of the flow; the short read after each closure peak is what keeps
-# the votes right when that happens.
+# LP order for the band-limited detector path at HP_ANALYSIS_RATE_HZ or below:
+# enough poles for the formants inside the band plus its edges.  At high pitch
+# the autocorrelation fit can still lock a pole pair onto a single harmonic
+# (F1 on f0 or 2 f0) and notch it out of the flow; the short read after each
+# closure peak is what keeps the votes right when that happens.
 HP_RESIDUAL_ORDER = 8
+
+# Highest rate the stages run at; faster input is resampled to it once.
+HP_ANALYSIS_RATE_HZ = 16000
 
 # Calibrated on the synthetic oracle: a negative vote majority => positive polarity.
 VOTE_SIGN_FOR_POSITIVE = -1
@@ -122,6 +134,11 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
     polarity through ``VOTE_SIGN_FOR_POSITIVE`` (see ``calibrate``).
     """
     s = detector_input(s)
+    if s.sample_rate_hz > HP_ANALYSIS_RATE_HZ:
+        g = gcd(HP_ANALYSIS_RATE_HZ, s.sample_rate_hz)
+        up, down = HP_ANALYSIS_RATE_HZ // g, s.sample_rate_hz // g
+        s = Signal(resample_poly(s.samples, up, down, window=resampling_fir(up, down)),
+                   HP_ANALYSIS_RATE_HZ)
     fs = s.sample_rate_hz
 
     # detector_input requires fs >= 1 kHz, so the upper band edge is at least 475 Hz

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.signal import butter, resample_poly
+from scipy.signal import butter, firwin, resample_poly
 
 from speechpolarity import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
                             SynthSpec, analytic_signal, detect_polarity_hp,
@@ -12,9 +12,9 @@ from speechpolarity import (EpochList, InvalidInputError, Polarity, PolarityDeci
                             select_he_peaks, zff_filter)
 from speechpolarity import epochs as zff_stage
 from speechpolarity.dsp import butterworth
-from speechpolarity.hilbert_phase import (BAND_HIGH_HZ, BAND_LOW_HZ, MIN_PHASE_MAGNITUDE,
-                                          MIN_VOTES, PEAK_SEARCH_MS, PHASE_SPAN_PERIODS,
-                                          PROMINENCE_FLOOR, _phase_reads)
+from speechpolarity.hilbert_phase import (BAND_HIGH_HZ, BAND_LOW_HZ, HP_ANALYSIS_RATE_HZ,
+                                          MIN_PHASE_MAGNITUDE, MIN_VOTES, PEAK_SEARCH_MS,
+                                          PHASE_SPAN_PERIODS, PROMINENCE_FLOOR, _phase_reads)
 
 FS = 16000
 
@@ -209,6 +209,58 @@ class TestFormantOnLowHarmonic:
                     (base.positive_votes, base.negative_votes)
 
 
+# The acceptance corpus's cells where hp, analysed at the input rate, went wrong at 48 kHz:
+# (pitch, formant set, seed of the cell's first utterance).
+FAST_RATE_CELLS = (
+    (200.0, ((570.0, 70.0), (840.0, 90.0), (2410.0, 130.0)), 40264),
+    (300.0, ((700.0, 80.0), (1220.0, 100.0), (2600.0, 120.0)), 40360),
+    (200.0, ((700.0, 80.0), (1220.0, 100.0), (2600.0, 120.0)), 40240),
+)
+
+
+class TestAnalysisRate:
+    """hp analyses at no more than HP_ANALYSIS_RATE_HZ; slower input takes the identity path."""
+
+    @pytest.mark.parametrize("rate", [32000, 44100, 48000])
+    def test_fast_rate_cells_all_correct(self, rate):
+        for pitch, formants, seed in FAST_RATE_CELLS:
+            for truth, s in cell_utterances(pitch, formants, seed, rate=rate)[::2]:
+                assert truth is Polarity.POSITIVE
+                assert detect_polarity_hp(s).polarity is truth
+
+    @pytest.mark.parametrize("rate", [8000, 11025, HP_ANALYSIS_RATE_HZ])
+    def test_no_resampling_at_or_below_the_analysis_rate(self, rate, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("resample_poly called")
+
+        monkeypatch.setattr(hilbert_phase, "resample_poly", refuse)
+        s = generate_utterance(SynthSpec(pitch_hz=120.0, sample_rate_hz=rate, seed=96))
+        assert detect_polarity_hp(s).polarity is Polarity.POSITIVE
+
+    @pytest.mark.parametrize("up, down", [(320, 441), (160, 441), (1, 3), (16000, 47999)])
+    def test_cached_fir_gives_resample_polys_own_output(self, up, down):
+        x = np.random.default_rng(down).standard_normal(2000)
+        h = dsp.resampling_fir(up, down)
+        assert not h.flags.writeable
+        assert resample_poly(x, up, down, window=h).tobytes() == \
+            resample_poly(x, up, down).tobytes()
+
+    def test_coprime_rate_decides_and_designs_its_fir_once(self, monkeypatch):
+        calls = []
+
+        def design(*args, **kwargs):
+            calls.append(args[0])
+            return firwin(*args, **kwargs)
+
+        monkeypatch.setattr(dsp, "firwin", design)
+        dsp.resampling_fir.cache_clear()
+        s = generate_utterance(SynthSpec(pitch_hz=120.0, sample_rate_hz=47999, seed=97))
+        assert detect_polarity_hp(s).polarity is Polarity.POSITIVE
+        assert calls == [20 * 47999 + 1]
+        assert detect_polarity_hp(s.negated()).polarity is Polarity.NEGATIVE
+        assert calls == [20 * 47999 + 1]
+
+
 def reference_select_he_peaks(values: np.ndarray, epochs: EpochList) -> np.ndarray:
     """One argmax per epoch over its window, cut off at the envelope's ends."""
     half = int(round(PEAK_SEARCH_MS * epochs.sample_rate_hz / 1000.0))
@@ -319,10 +371,13 @@ class TestFilterDesignCache:
         s = Signal(resample_poly(x, fs, 48000), fs)
         assert detect_polarity_hp(s).anchors_used > 0  # the flow stage ran
         detect_polarity_reskew(s)
-        assert calls == {"band": 1, "low": 1}
+        # above HP_ANALYSIS_RATE_HZ, hp's flow low-pass is designed at that rate and
+        # reskew's at the input rate
+        first = {"band": 1, "low": 1 if fs <= HP_ANALYSIS_RATE_HZ else 2}
+        assert calls == first
         detect_polarity_hp(s)
         detect_polarity_reskew(s.negated())
-        assert calls == {"band": 1, "low": 1}
+        assert calls == first
 
 
 class TestPitchEstimatedOnce:

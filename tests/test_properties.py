@@ -16,7 +16,7 @@ voiced = st.builds(
     SynthSpec,
     pitch_hz=st.floats(80.0, 300.0),
     duration_s=st.floats(0.3, 1.2),
-    sample_rate_hz=st.sampled_from((8000, 16000, 48000)),
+    sample_rate_hz=st.sampled_from((8000, 16000, 22050, 44100, 48000)),
     polarity=st.sampled_from((Polarity.POSITIVE, Polarity.NEGATIVE)),
     jitter_pct=st.floats(0.0, 3.0),
     seed=st.integers(0, 2**31 - 1),
