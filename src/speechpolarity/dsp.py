@@ -1,4 +1,4 @@
-"""Array kernels: Hilbert transform, envelope, cosine phase, filter designs, moving average.
+"""Array kernels: Hilbert transform, envelope, cosine phase, Butterworth design, moving average.
 
 The Hilbert transform is the exact circular one over the whole signal (the
 discrete analytic signal of MATLAB's ``hilbert``): one real FFT pair at the
@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import butter, firwin
+from scipy.signal import butter
 
 from .types import InvalidInputError
 
@@ -118,20 +118,6 @@ def butterworth(order: int, sample_rate_hz: int, high_hz: float,
         b, a = butter(order, [low_hz / nyq, high], btype="band")
     b.flags.writeable = a.flags.writeable = False
     return b, a
-
-
-@lru_cache(maxsize=4)
-def resampling_fir(up: int, down: int) -> np.ndarray:
-    """Read-only anti-alias FIR of ``scipy.signal.resample_poly(x, up, down)``, designed
-    once per ratio: 20 max(up, down) + 1 taps of a Kaiser-windowed (beta 5) sinc cut off at
-    1 / max(up, down) of Nyquist, which ``resample_poly`` designs on every call unless
-    passed as its ``window``.  ``up`` and ``down`` must be coprime.  A coprime pair near
-    one (47,999 Hz to 16 kHz) gives a filter of about a million taps, hence the small bound.
-    """
-    rate = max(up, down)
-    h = firwin(20 * rate + 1, 1.0 / rate, window=("kaiser", 5.0))
-    h.flags.writeable = False
-    return h
 
 
 def centered_moving_average(x: np.ndarray, width_samples: int) -> np.ndarray:

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import filtfilt, resample_poly
 
-from .dsp import analytic_signal, butterworth, cosine_phase, hilbert_envelope, resampling_fir
+from .dsp import analytic_signal, butterworth, cosine_phase, hilbert_envelope
 from .epochs import estimate_mean_pitch, extract_epochs, zff_filter
 from .reskew import glottal_flow_estimate
 from .types import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
@@ -137,8 +137,7 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
     if s.sample_rate_hz > HP_ANALYSIS_RATE_HZ:
         g = gcd(HP_ANALYSIS_RATE_HZ, s.sample_rate_hz)
         up, down = HP_ANALYSIS_RATE_HZ // g, s.sample_rate_hz // g
-        s = Signal(resample_poly(s.samples, up, down, window=resampling_fir(up, down)),
-                   HP_ANALYSIS_RATE_HZ)
+        s = Signal(resample_poly(s.samples, up, down), HP_ANALYSIS_RATE_HZ)
     fs = s.sample_rate_hz
 
     # detector_input requires fs >= 1 kHz, so the upper band edge is at least 475 Hz

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.signal import butter, firwin, resample_poly
+from scipy.signal import butter, resample_poly
 
 from speechpolarity import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
                             SynthSpec, analytic_signal, detect_polarity_hp,
@@ -236,29 +236,6 @@ class TestAnalysisRate:
         monkeypatch.setattr(hilbert_phase, "resample_poly", refuse)
         s = generate_utterance(SynthSpec(pitch_hz=120.0, sample_rate_hz=rate, seed=96))
         assert detect_polarity_hp(s).polarity is Polarity.POSITIVE
-
-    @pytest.mark.parametrize("up, down", [(320, 441), (160, 441), (1, 3), (16000, 47999)])
-    def test_cached_fir_gives_resample_polys_own_output(self, up, down):
-        x = np.random.default_rng(down).standard_normal(2000)
-        h = dsp.resampling_fir(up, down)
-        assert not h.flags.writeable
-        assert resample_poly(x, up, down, window=h).tobytes() == \
-            resample_poly(x, up, down).tobytes()
-
-    def test_coprime_rate_decides_and_designs_its_fir_once(self, monkeypatch):
-        calls = []
-
-        def design(*args, **kwargs):
-            calls.append(args[0])
-            return firwin(*args, **kwargs)
-
-        monkeypatch.setattr(dsp, "firwin", design)
-        dsp.resampling_fir.cache_clear()
-        s = generate_utterance(SynthSpec(pitch_hz=120.0, sample_rate_hz=47999, seed=97))
-        assert detect_polarity_hp(s).polarity is Polarity.POSITIVE
-        assert calls == [20 * 47999 + 1]
-        assert detect_polarity_hp(s.negated()).polarity is Polarity.NEGATIVE
-        assert calls == [20 * 47999 + 1]
 
 
 def reference_select_he_peaks(values: np.ndarray, epochs: EpochList) -> np.ndarray:
