@@ -29,6 +29,8 @@ PITCH_FALLBACK_HZ = 120.0  # returned when too few frames are voiced
 
 ZFF_TREND_PASSES = 3
 
+_PITCH_BLOCK_FRAMES = 128  # pitch frames transformed per FFT call
+
 
 def estimate_mean_pitch(s: Signal) -> float:
     """Mean fundamental frequency from normalized autocorrelation of 40 ms frames.
@@ -37,6 +39,14 @@ def estimate_mean_pitch(s: Signal) -> float:
     counts as voiced when its normalized autocorrelation peak reaches 0.5.
     Returns ``PITCH_FALLBACK_HZ`` when fewer than 5 frames are voiced or
     the signal is shorter than 100 ms.
+    The frame autocorrelations are computed ``_PITCH_BLOCK_FRAMES`` frames
+    at a time, each block's frame copies and spectra freed before the next,
+    and only lags 0 to 20 ms + 1 sample are kept: one array about the
+    input's size.  The peak memory, with the voicing step's copies of that
+    array, is under three times the input's size, instead of 14 times for
+    a copy of every frame and its spectrum.  Each frame's power spectrum
+    is ``np.conj(spec) * spec`` formed in place, so a frame's bits do not
+    depend on how many frames share its block or the signal.
     """
     fs = s.sample_rate_hz
     x = s.samples
@@ -50,10 +60,19 @@ def estimate_mean_pitch(s: Signal) -> float:
     # A power-of-two scale to a peak in [0.5, 1) is exact, and keeps the
     # autocorrelation of very loud or very quiet input from overflowing or underflowing.
     exponent = np.frexp(max(x.max(), -x.min()))[1]
-    frames = np.ldexp(sliding_window_view(x, frame)[::hop], -exponent)
-    frames -= frames.mean(axis=1, keepdims=True)
-    spec = np.fft.rfft(frames, 2 * frame, axis=1)
-    acf = np.fft.irfft(spec * np.conj(spec), axis=1)[:, :frame]
+    frames = sliding_window_view(x, frame)[::hop]
+    acf = np.empty((len(frames), lag_hi + 2))
+    for b in range(0, len(frames), _PITCH_BLOCK_FRAMES):
+        block = np.ldexp(frames[b:b + _PITCH_BLOCK_FRAMES], -exponent)
+        block -= block.mean(axis=1, keepdims=True)
+        spec = np.fft.rfft(block, 2 * frame, axis=1)
+        del block
+        # a named temporary is never elided, so the product is formed one way at every size
+        power = np.conj(spec)
+        power *= spec
+        del spec
+        acf[b:b + _PITCH_BLOCK_FRAMES] = np.fft.irfft(power, axis=1)[:, :lag_hi + 2]
+        del power
 
     rows = np.flatnonzero(acf[:, 0] > 0.0)
     r0 = acf[rows, 0]

@@ -6,7 +6,8 @@ import pytest
 from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec, estimate_mean_pitch,
                             extract_epochs, generate_utterance, glottal_flow_estimate,
                             zff_filter)
-from speechpolarity.epochs import PITCH_FALLBACK_HZ
+from speechpolarity.epochs import (_PITCH_BLOCK_FRAMES, PITCH_FALLBACK_HZ, PITCH_FRAME_MS,
+                                   PITCH_HOP_MS)
 
 FS = 16000
 
@@ -74,6 +75,37 @@ def reference_mean_pitch(s: Signal, fallback_hz: float = 120.0) -> float:
     return float(np.mean(pitches))
 
 
+def rowwise_mean_pitch(s: Signal) -> float:
+    """The pitch estimate one frame at a time, each row's power formed as ``np.conj(spec) * spec``.
+
+    One row's spectrum is far below numpy's 256 KiB temporary-elision size, so
+    the product is evaluated as written, whatever the signal's length.
+    """
+    fs = s.sample_rate_hz
+    x = s.samples
+    frame = int(round(40.0 * fs / 1000.0))
+    hop = int(round(20.0 * fs / 1000.0))
+    lag_lo = int(round(2.5 * fs / 1000.0))
+    lag_hi = int(round(20.0 * fs / 1000.0))
+    pitches = []
+    for k in range(0, x.size - frame + 1, hop):
+        spec = np.fft.rfft(x[k:k + frame] - x[k:k + frame].mean(), 2 * frame)
+        row = np.fft.irfft(np.conj(spec) * spec)
+        r0 = row[0]
+        if r0 <= 0.0:
+            continue
+        j = lag_lo + int(np.argmax(row[lag_lo:lag_hi + 1] / r0))
+        if row[j] / r0 < 0.5:
+            continue
+        lag = float(j)
+        y0, y1, y2 = row[j - 1] / r0, row[j] / r0, row[j + 1] / r0
+        denom = y0 - 2 * y1 + y2
+        if denom < 0 and abs(0.5 * (y0 - y2) / denom) < 1.0:
+            lag = j + 0.5 * (y0 - y2) / denom
+        pitches.append(fs / lag)
+    return float(np.mean(pitches)) if len(pitches) >= 5 else PITCH_FALLBACK_HZ
+
+
 class TestMeanPitch:
     @pytest.mark.parametrize("pitch,tol", [(100.0, 2.0), (250.0, 5.0)])
     def test_synthetic_trains(self, pitch, tol):
@@ -99,6 +131,32 @@ class TestMeanPitch:
         ]
         for x in inputs:
             s = Signal(x, fs)
+            assert repr(estimate_mean_pitch(s)) == repr(reference_mean_pitch(s))
+
+    @pytest.mark.parametrize("pitch,formants,seed", [
+        (80.0, ((570.0, 70.0), (840.0, 90.0), (2410.0, 130.0)), 3),
+        (300.0, ((300.0, 60.0), (2200.0, 100.0), (3000.0, 150.0)), 1),
+        (150.0, ((700.0, 80.0), (1220.0, 100.0), (2600.0, 120.0)), 0),
+    ])
+    def test_power_formed_one_way_on_short_input(self, pitch, formants, seed):
+        # 1 s at 8 kHz is 49 frames of 321 spectrum values, below the 16,384 at
+        # which numpy's temporary elision turned spec * conj(spec) into
+        # conj(spec) * spec; the first two inputs then read a last-bit different pitch.
+        x = generate_utterance(SynthSpec(pitch_hz=pitch, sample_rate_hz=8000, formants=formants,
+                                         seed=seed)).samples
+        for y in (x, -x):
+            s = Signal(y, 8000)
+            assert repr(estimate_mean_pitch(s)) == repr(rowwise_mean_pitch(s))
+
+    @pytest.mark.parametrize("fs", [8000, 16000, 48000])
+    def test_block_boundaries_match_reference(self, fs):
+        frame = int(round(PITCH_FRAME_MS * fs / 1000.0))
+        hop = int(round(PITCH_HOP_MS * fs / 1000.0))
+        b = _PITCH_BLOCK_FRAMES
+        x = generate_utterance(SynthSpec(pitch_hz=170.0, sample_rate_hz=fs, seed=23,
+                                         duration_s=(2 * b + 2) * PITCH_HOP_MS / 1e3)).samples
+        for n_frames in (b - 1, b, b + 1, 2 * b + 1):
+            s = Signal(x[:frame + (n_frames - 1) * hop], fs)
             assert repr(estimate_mean_pitch(s)) == repr(reference_mean_pitch(s))
 
     @pytest.mark.parametrize("exponent", [-900, -40, 3, 1000])

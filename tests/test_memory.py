@@ -1,0 +1,38 @@
+"""Peak memory of the frame analyses grows with the input, by a bounded factor."""
+
+import tracemalloc
+
+import pytest
+
+from speechpolarity import Signal, SynthSpec, estimate_mean_pitch, generate_utterance, lp_residual
+
+
+@pytest.fixture(scope="module")
+def twenty_seconds() -> Signal:
+    return generate_utterance(SynthSpec(pitch_hz=130.0, duration_s=20.0, sample_rate_hz=16000,
+                                        seed=25))
+
+
+def traced_peak(fn, *args) -> int:
+    fn(*args)  # numpy's FFT plan cache fills outside the measurement
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Multiples of the input's bytes.  Whole-file frame matrices reach about 14x
+# (pitch: every 40 ms frame copied and transformed) and 5.3x (LP: every
+# windowed frame copied); in blocks the pitch keeps one ACF row prefix per
+# frame and LP its output and weights, under 3x and 4x.
+@pytest.mark.parametrize("fn,args,bound", [
+    (estimate_mean_pitch, (), 4.0),
+    (lp_residual, (None,), 4.5),
+    (lp_residual, (8,), 4.5),
+], ids=["pitch", "lp-default-order", "lp-order-8"])
+def test_peak_is_a_bounded_multiple_of_the_input(twenty_seconds, fn, args, bound):
+    s = twenty_seconds
+    peak = traced_peak(fn, s, *args)
+    assert peak < bound * s.samples.nbytes, f"{peak / s.samples.nbytes:.2f}x the input"

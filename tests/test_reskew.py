@@ -9,7 +9,7 @@ from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec,
                             UndefinedStatisticError, detect_polarity_reskew,
                             generate_utterance, levinson, lp_residual, reskew_statistic,
                             skewness)
-from speechpolarity.reskew import LP_FRAME_MS, LP_HOP_MS
+from speechpolarity.reskew import _LAG_BLOCK_FRAMES, LP_FRAME_MS, LP_HOP_MS
 
 FS = 16000
 
@@ -230,6 +230,24 @@ class TestLpResidual:
             for y in (x[:on_grid], x[:on_grid - 1], x[:on_grid - 7], x[:on_grid - hop + 1], long,
                       long[:-1]):
                 s = Signal(y, fs)
+                assert lp_residual(s, order).tobytes() == reference_lp_residual(s, order).tobytes()
+
+    @pytest.mark.parametrize("fs", (16000, 44100))
+    def test_lag_block_boundaries_match_reference(self, fs):
+        # n frames on the hop grid, and (at 44.1 kHz, frame 1102, hop 220) n - 1
+        # grid frames plus the extra last frame
+        frame = int(round(LP_FRAME_MS * fs / 1000.0))
+        hop = int(round(LP_HOP_MS * fs / 1000.0))
+        b = _LAG_BLOCK_FRAMES
+        x = generate_utterance(SynthSpec(pitch_hz=125.0, duration_s=(2 * b + 2) * LP_HOP_MS / 1e3
+                                         + LP_FRAME_MS / 1e3, sample_rate_hz=fs,
+                                         seed=24)).samples
+        lengths = [frame + (n - 1) * hop for n in (b - 1, b, b + 1, 2 * b + 1)]
+        if frame % hop:
+            lengths += [frame + (n - 2) * hop + 1 for n in (b, b + 1)]
+        for n in lengths:
+            s = Signal(x[:n], fs)
+            for order in (None, 8):
                 assert lp_residual(s, order).tobytes() == reference_lp_residual(s, order).tobytes()
 
     @pytest.mark.parametrize("fs", (8000, 11025, 16000, 44100))
