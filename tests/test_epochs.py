@@ -154,7 +154,7 @@ class TestMeanPitch:
         hop = int(round(PITCH_HOP_MS * fs / 1000.0))
         b = _PITCH_BLOCK_FRAMES
         x = generate_utterance(SynthSpec(pitch_hz=170.0, sample_rate_hz=fs, seed=23,
-                                         duration_s=(2 * b + 2) * PITCH_HOP_MS / 1e3)).samples
+                                         duration_s=(2 * b + 3) * PITCH_HOP_MS / 1e3)).samples
         for n_frames in (b - 1, b, b + 1, 2 * b + 1):
             s = Signal(x[:frame + (n_frames - 1) * hop], fs)
             assert repr(estimate_mean_pitch(s)) == repr(reference_mean_pitch(s))
