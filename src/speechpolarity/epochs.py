@@ -42,8 +42,8 @@ def estimate_mean_pitch(s: Signal) -> float:
     The frame autocorrelations are computed ``_PITCH_BLOCK_FRAMES`` frames
     at a time, each block's frame copies and spectra freed before the next,
     and only lags 0 to 20 ms + 1 sample are kept: one array about the
-    input's size.  The peak memory, with the voicing step's copies of that
-    array, is under three times the input's size, instead of 14 times for
+    input's size.  The peak memory, with the voicing step's one copy of
+    that array, is about twice the input's size, instead of 14 times for
     a copy of every frame and its spectrum.  Each frame's power spectrum
     is ``np.conj(spec) * spec`` formed in place, so a frame's bits do not
     depend on how many frames share its block or the signal.
@@ -76,7 +76,8 @@ def estimate_mean_pitch(s: Signal) -> float:
 
     rows = np.flatnonzero(acf[:, 0] > 0.0)
     r0 = acf[rows, 0]
-    seg = acf[rows, lag_lo:lag_hi + 1] / r0[:, None]
+    seg = acf[rows, lag_lo:lag_hi + 1]  # fancy indexing copies, so divide in place
+    seg /= r0[:, None]
     k = np.argmax(seg, axis=1)
     voiced = seg.max(axis=1) >= PITCH_VOICING_THRESHOLD
     rows, r0, j = rows[voiced], r0[voiced], lag_lo + k[voiced]

@@ -33,6 +33,13 @@ neither the anchors nor the 60-1600 Hz band need more, and the order-8 LP
 that suffices for that band at 16 kHz gives confidently wrong flows at
 32-48 kHz.  Input at or below 16 kHz is analysed at its own rate.
 
+Only the longest prefix whose length is 11-smooth (``prev_fast_len``: no
+prime factor above 11) is analysed, so both Hilbert transforms are one FFT
+pair at a fast length.  The trim drops at most 2.0% of the samples from
+1,600 (100 ms at 16 kHz) to 20,000, 1.0% up to 400,000 and 0.6% up to
+10^6 (5.9% at the shortest input, 100 ms at 1 kHz); the ZFF already zeroes
+two trend windows at each end.
+
 The method is one fixed pipeline with nothing settable: the analysis rate,
 the band edges, the peak search, the span and the abstention level of the
 phase read, and the vote count below which the detector abstains are module
@@ -47,6 +54,7 @@ from math import gcd
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import prev_fast_len
 from scipy.signal import filtfilt, resample_poly
 
 from .dsp import analytic_signal, butterworth, cosine_phase, hilbert_envelope
@@ -139,9 +147,10 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
         up, down = HP_ANALYSIS_RATE_HZ // g, s.sample_rate_hz // g
         s = Signal(resample_poly(s.samples, up, down), HP_ANALYSIS_RATE_HZ)
     fs = s.sample_rate_hz
+    x = s.samples[:prev_fast_len(s.samples.size)]  # both Hilbert transforms at a fast length
 
     # detector_input requires fs >= 1 kHz, so the upper band edge is at least 475 Hz
-    band = Signal(filtfilt(*butterworth(2, fs, BAND_HIGH_HZ, BAND_LOW_HZ), s.samples), fs)
+    band = Signal(filtfilt(*butterworth(2, fs, BAND_HIGH_HZ, BAND_LOW_HZ), x), fs)
     pitch = estimate_mean_pitch(band)
     epochs = extract_epochs(zff_filter(band, pitch))
     peaks = select_he_peaks(hilbert_envelope(analytic_signal(np.gradient(band.samples))), epochs)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len, prev_fast_len
 from scipy.signal import butter, resample_poly
 
 from speechpolarity import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
@@ -11,7 +12,7 @@ from speechpolarity import (EpochList, InvalidInputError, Polarity, PolarityDeci
                             glottal_flow_estimate, hilbert_envelope, hilbert_phase, reskew,
                             select_he_peaks, zff_filter)
 from speechpolarity import epochs as zff_stage
-from speechpolarity.dsp import butterworth
+from speechpolarity.dsp import butterworth, hilbert_transform
 from speechpolarity.hilbert_phase import (BAND_HIGH_HZ, BAND_LOW_HZ, HP_ANALYSIS_RATE_HZ,
                                           MIN_PHASE_MAGNITUDE, MIN_VOTES, PEAK_SEARCH_MS,
                                           PHASE_SPAN_PERIODS, PROMINENCE_FLOOR, _phase_reads)
@@ -236,6 +237,37 @@ class TestAnalysisRate:
         monkeypatch.setattr(hilbert_phase, "resample_poly", refuse)
         s = generate_utterance(SynthSpec(pitch_hz=120.0, sample_rate_hz=rate, seed=96))
         assert detect_polarity_hp(s).polarity is Polarity.POSITIVE
+
+
+class TestFastLengthPrefix:
+    """hp analyses the longest prefix of 11-smooth length at its analysis rate."""
+
+    @pytest.mark.parametrize("rate,n", [(8000, 8009), (16000, 16001), (22050, 22051),
+                                        (44100, 44101), (48000, 48011)])
+    def test_hilbert_transforms_only_fast_lengths(self, rate, n, monkeypatch):
+        lengths = []
+
+        def recording(x):
+            lengths.append(x.size)
+            return hilbert_transform(x)
+
+        monkeypatch.setattr(dsp, "hilbert_transform", recording)
+        s = generate_utterance(SynthSpec(pitch_hz=120.0, duration_s=1.1, sample_rate_hz=rate,
+                                         seed=97))
+        detect_polarity_hp(Signal(s.samples[:n], rate))
+        assert len(lengths) == 2
+        assert all(next_fast_len(m) == m for m in lengths), lengths
+
+    # (rate, pitch, seed, length): inputs whose vote counts, analysed whole,
+    # differ from those of their fast-length prefix.
+    @pytest.mark.parametrize("rate,pitch,seed,n", [(8000, 104.0, 2, 7870),
+                                                   (16000, 153.0, 9, 15074),
+                                                   (16000, 258.0, 24, 15012)])
+    def test_trim_is_the_only_change(self, rate, pitch, seed, n):
+        x = generate_utterance(SynthSpec(pitch_hz=pitch, duration_s=1.0, sample_rate_hz=rate,
+                                         seed=seed)).samples[:n]
+        assert detect_polarity_hp(Signal(x, rate)) == \
+            detect_polarity_hp(Signal(x[:prev_fast_len(n)], rate))
 
 
 def reference_select_he_peaks(values: np.ndarray, epochs: EpochList) -> np.ndarray:

@@ -26,9 +26,10 @@ def traced_peak(fn, *args) -> int:
 # Multiples of the input's bytes.  Whole-file frame matrices reach about 14x
 # (pitch: every 40 ms frame copied and transformed) and 5.3x (LP: every
 # windowed frame copied); in blocks the pitch keeps one ACF row prefix per
-# frame and LP its output and weights, under 3x and 4x.
+# frame and one normalized copy of it, about 2x, and LP its output and
+# weights, under 4x.
 @pytest.mark.parametrize("fn,args,bound", [
-    (estimate_mean_pitch, (), 4.0),
+    (estimate_mean_pitch, (), 2.5),
     (lp_residual, (None,), 4.5),
     (lp_residual, (8,), 4.5),
 ], ids=["pitch", "lp-default-order", "lp-order-8"])

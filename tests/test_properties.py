@@ -47,8 +47,8 @@ def test_power_of_two_scaling_changes_nothing(spec, k):
         assert detect(scaled) == detect(s)
 
 
-# Short lengths of every factorization, and primes long enough (269 is the
-# first) that the Hilbert transform takes its padded convolution path.
+# Short lengths of every factorization, and long primes: lengths whose one
+# factor is large.
 finite = arrays(np.float64, st.one_of(st.integers(1, 64), st.sampled_from((331, 509, 1009))),
                 elements=st.floats(-1e300, 1e300))
 
