@@ -33,9 +33,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _snr_levels(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        levels = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated dB values, got {text!r}") from None
+        levels = []
+    if not levels:
+        raise argparse.ArgumentTypeError(f"expected comma-separated dB values, got {text!r}")
+    return levels
 
 
 def _method_list(text: str) -> tuple[str, ...]:

@@ -94,17 +94,17 @@ def estimate_mean_pitch(s: Signal) -> float:
 
 
 def zff_filter(s: Signal, mean_pitch_hz: float) -> Signal:
-    """Zero-frequency filter: difference, double resonator pass, trend removal.
+    """Zero-frequency filter: ``ZFF_TREND_PASSES`` integrate-and-detrend pairs, in float64.
 
-    The input is differenced, passed twice through the zero-frequency
-    resonator y(n) = x(n) + 2 y(n-1) - y(n-2) (realized as cumulative sums
-    in extended precision, since the raw output grows polynomially), and the
-    trend is removed by subtracting the local mean ``ZFF_TREND_PASSES`` times.
-    The outermost two trend windows are zeroed: the truncated-window mean
-    cannot track the polynomial growth right at the boundaries, and anchors
-    that close to the edges are of no use downstream.  The trend window is
-    1.5 periods of ``mean_pitch_hz`` (``estimate_mean_pitch``'s result; it
-    must be positive and finite), clamped to [3, 25] ms.
+    The input less its first sample is integrated three times, as the
+    differenced input through two resonators y(n) = x(n) + 2 y(n-1) - y(n-2)
+    would be, but each cumulative sum is followed by subtracting the local
+    mean, which removes constants and lines: the values stay bounded at any
+    length with no extended precision.  An error a pass leaves at the start
+    is a constant after the next integration, which the next subtraction
+    removes; the outermost two trend windows, where it stays, are zeroed.
+    The trend window is 1.5 periods of ``mean_pitch_hz`` (``estimate_mean_pitch``'s
+    result; it must be positive and finite), clamped to [3, 25] ms.
     """
     fs = s.sample_rate_hz
     if not 0.0 < mean_pitch_hz < np.inf:
@@ -118,13 +118,11 @@ def zff_filter(s: Signal, mean_pitch_hz: float) -> Signal:
         raise InvalidInputError(
             f"signal too short for ZFF: {s.samples.size} samples < 3 trend windows ({3 * width})")
 
-    y = np.diff(s.samples, prepend=s.samples[:1]).astype(np.longdouble)
-    for _ in range(4):  # two cascaded double-poles at DC, in place
+    y = s.samples - s.samples[0]
+    for _ in range(ZFF_TREND_PASSES):  # one pole at DC, then its trend removed, in place
         np.cumsum(y, out=y)
-    for _ in range(ZFF_TREND_PASSES):
         y -= centered_moving_average(y, width)
 
-    y = np.asarray(y, dtype=np.float64)
     guard = min(2 * width, y.size)
     y[:guard] = 0.0
     y[y.size - guard:] = 0.0

@@ -1,10 +1,13 @@
-"""Polarity detection from analytic-signal phase at excitation-anchored peaks.
+"""Polarity detection from analytic-signal phase at Hilbert-envelope peaks.
 
-Per utterance: zero-frequency filtering provides polarity-invariant anchor
-instants; Hilbert-envelope peaks of the differentiated band-limited signal
-are selected near those anchors; each peak contributes a vote read from the
-cosine phase of the glottal-flow approximation over the early closed phase,
-from the peak to ``PHASE_SPAN_PERIODS`` mean pitch periods after it.
+Per utterance: every zero crossing of the zero-frequency-filtered band,
+rising and falling alike, is an anchor, so the anchors of a signal and its
+negation are the same.  For each anchor the argmax of the Hilbert envelope
+of the differentiated band within +-``PEAK_SEARCH_MS`` is kept if it clears
+``PROMINENCE_FLOOR``; with about two crossings per period those windows
+overlap several deep.  Each peak contributes a vote read from the cosine
+phase of the glottal-flow approximation over the early closed phase, from
+the peak to ``PHASE_SPAN_PERIODS`` mean pitch periods after it.
 
 Differentiating tilts the band toward the broadband closure event and away
 from low-frequency formant ringing.  The peaks land at closure or in the
@@ -21,11 +24,6 @@ fundamental, the inverse filter notches the fundamental out of the flow,
 which then keeps only a narrow trough at closure followed by a harmonic
 bump 0.15-0.3 periods later.  A window centred on the peak, or one reaching
 past that bump, reads the two halves of the cycle against each other.
-
-The band-limited front end (60-1600 Hz) and the tract-removing flow
-approximation are what make the votes indifferent to the formant
-configuration and to broadband noise; the vote logic itself reads the
-analytic-signal phase at envelope peaks.
 
 Every stage runs at no more than ``HP_ANALYSIS_RATE_HZ`` (16 kHz): input
 sampled faster is resampled once, polyphase, before the band-pass, since

@@ -144,11 +144,13 @@ class TestEval:
     def test_missing_manifest_io_error(self, tmp_path):
         assert main(["eval", "--manifest", str(tmp_path / "ghost.txt")]) == 74
 
-    def test_non_numeric_snr_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("snr", ["abc", ",", ""])
+    def test_non_numeric_snr_usage_error(self, tmp_path, capsys, snr):
+        # "," and "" once parsed to no levels and ran no sweep, exiting 0
         wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
         manifest = tmp_path / "m.txt"
         manifest.write_text(f"{wav.name},positive,speech\n", encoding="utf-8")
-        assert main(["eval", "--manifest", str(manifest), "--snr", "abc"]) == 64
+        assert main(["eval", "--manifest", str(manifest), "--snr", snr]) == 64
         err = capsys.readouterr().err
         assert "--snr" in err and "Traceback" not in err
 

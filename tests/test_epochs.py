@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.signal import filtfilt
 
 from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec, estimate_mean_pitch,
                             extract_epochs, generate_utterance, glottal_flow_estimate,
                             zff_filter)
+from speechpolarity.dsp import butterworth, centered_moving_average
 from speechpolarity.epochs import (_PITCH_BLOCK_FRAMES, PITCH_FALLBACK_HZ, PITCH_FRAME_MS,
-                                   PITCH_HOP_MS)
+                                   PITCH_HOP_MS, ZFF_TREND_PASSES)
+from speechpolarity.hilbert_phase import BAND_HIGH_HZ, BAND_LOW_HZ
+from test_acceptance import evaluation_specs
 
 FS = 16000
 
@@ -104,6 +108,28 @@ def rowwise_mean_pitch(s: Signal) -> float:
             lag = j + 0.5 * (y0 - y2) / denom
         pitches.append(fs / lag)
     return float(np.mean(pitches)) if len(pitches) >= 5 else PITCH_FALLBACK_HZ
+
+
+def a5_positive_band(n_utterances: int) -> Signal:
+    """The first positive A5 utterances laid end to end, through hp's 60-1600 Hz band."""
+    specs = [spec for spec in evaluation_specs() if spec.polarity is Polarity.POSITIVE]
+    x = np.concatenate([generate_utterance(spec).samples for spec in specs[:n_utterances]])
+    return Signal(filtfilt(*butterworth(2, FS, BAND_HIGH_HZ, BAND_LOW_HZ), x), FS)
+
+
+def longdouble_zff(s: Signal, mean_pitch_hz: float) -> Signal:
+    """zff_filter's integrate-and-detrend passes computed in np.longdouble."""
+    window_ms = np.clip(1.5 * 1000.0 / mean_pitch_hz, 3.0, 25.0)
+    width = int(round(window_ms * s.sample_rate_hz / 1000.0))
+    width = max(width + 1 - width % 2, 3)  # odd, at least 3
+    y = s.samples.astype(np.longdouble) - s.samples[0]
+    for _ in range(ZFF_TREND_PASSES):
+        np.cumsum(y, out=y)
+        y -= centered_moving_average(y, width)
+    y = y.astype(np.float64)
+    y[:2 * width] = 0.0
+    y[y.size - 2 * width:] = 0.0
+    return Signal(y, s.sample_rate_hz)
 
 
 class TestMeanPitch:
@@ -210,6 +236,21 @@ class TestZffFilter:
         # of magnitude 6e16, and -100 and inf clamped the ZFF window silently
         with pytest.raises(InvalidInputError):
             stage(utterance(120.0, seed=3), mean_pitch_hz=pitch)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                        reason="np.longdouble is float64 here: the reference is no more "
+                               "precise than the code under test")
+    def test_sixty_seconds_match_longdouble_reference(self):
+        # Four cumulative sums before any trend removal grew with the cube of the
+        # length: at 60 s they were off by 4.7e-4 of the RMS, and the epochs moved.
+        band = a5_positive_band(60)
+        pitch = estimate_mean_pitch(band)
+        y = zff_filter(band, pitch).samples
+        ref = longdouble_zff(band, pitch).samples
+        rms = np.sqrt(np.mean(ref ** 2))
+        assert np.max(np.abs(y - ref)) <= 1e-6 * rms
+        assert np.array_equal(extract_epochs(Signal(y, FS)).indices,
+                              extract_epochs(Signal(ref, FS)).indices)
 
     def test_supplied_pitch_sizes_window(self):
         s = utterance(120.0, seed=12)

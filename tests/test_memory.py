@@ -4,7 +4,8 @@ import tracemalloc
 
 import pytest
 
-from speechpolarity import Signal, SynthSpec, estimate_mean_pitch, generate_utterance, lp_residual
+from speechpolarity import (Signal, SynthSpec, estimate_mean_pitch, generate_utterance,
+                            lp_residual, zff_filter)
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +28,15 @@ def traced_peak(fn, *args) -> int:
 # (pitch: every 40 ms frame copied and transformed) and 5.3x (LP: every
 # windowed frame copied); in blocks the pitch keeps one ACF row prefix per
 # frame and one normalized copy of it, about 2x, and LP its output and
-# weights, under 4x.
+# weights, under 4x.  ZFF held 6x with its four cumulative sums in
+# np.longdouble; three float64 integrate-and-detrend passes hold its output
+# and the moving average's two input-sized temporaries, 3x.
 @pytest.mark.parametrize("fn,args,bound", [
     (estimate_mean_pitch, (), 2.5),
     (lp_residual, (None,), 4.5),
     (lp_residual, (8,), 4.5),
-], ids=["pitch", "lp-default-order", "lp-order-8"])
+    (zff_filter, (120.0,), 3.5),
+], ids=["pitch", "lp-default-order", "lp-order-8", "zff"])
 def test_peak_is_a_bounded_multiple_of_the_input(twenty_seconds, fn, args, bound):
     s = twenty_seconds
     peak = traced_peak(fn, s, *args)
