@@ -147,6 +147,11 @@ def _cmd_calibrate(_args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        # argparse reads a value such as "-5,0" as an option: pass "--snr=-5,0"
+        if argv[i - 1] == "--snr":
+            argv[i - 1:i + 1] = [f"--snr={argv[i]}"]
     try:
         args = parser.parse_args(argv)
         if args.command == "detect":

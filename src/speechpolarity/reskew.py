@@ -13,7 +13,7 @@ from __future__ import annotations
 from numbers import Integral
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.signal import filtfilt, lfilter
 
 from .dsp import butterworth, centered_moving_average
@@ -36,6 +36,7 @@ INTEGRATION_PERIODS = 2.0
 DETREND_PERIODS = 1.2
 
 _LAG_BLOCK_FRAMES = 256  # windowed LP frames copied per block of lags
+_TAP_BLOCK_VALUES = 1 << 17  # blended LP taps per block of hop rows (1 MiB)
 
 
 def _lp_order(order: int | None, sample_rate_hz: int) -> int:
@@ -86,21 +87,30 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
     window as weight, normalized so every sample has total weight one.
     Frames start every hop; when the hops leave the last samples uncovered,
     one more frame ends at the signal's end.
-    The filtered frames are strided views of the signal, not copies; only
-    the windowed frames behind the lags are copied, ``_LAG_BLOCK_FRAMES``
+    The windowed frames behind the lags are copied ``_LAG_BLOCK_FRAMES``
     frames at a time, each block freed before the next; a row's lags are
-    the same ``einsum`` sums at any block size.  So the peak memory is the
-    residual, its weights and their quotient, under four times the input's
-    size; a windowed copy of every frame at once took 5.3 times.
-    Each frame's FIR is ``np.correlate`` of the frame with its coefficient
-    row reversed, the rows reversed once per call: the C routine and
-    operands of ``np.convolve`` without its per-call wrapper, and bitwise
-    equal to ``lfilter``'s FIR path.  ``np.convolve`` swaps its operands
-    unless the frame is the longer one, so a frame of at most order + 1
-    samples (possible only below 1.7 kHz) is rejected.  One loop filters,
-    windows and adds the frames in start order, the additions of a
-    per-frame ``lfilter`` loop in its order, so the residual matches that
-    loop bit for bit.
+    the same ``einsum`` sums at any block size, so the coefficients are
+    bit-identical to those of a whole-signal frame matrix.
+    The overlap-add is one time-varying FIR, ``out[n] = sum_k x[n-k] c_k[n]``,
+    so each sample is filtered once, not once per frame that covers it:
+    ``c_k[n]`` sums ``window[n - start] * a[k]`` over the hop-grid frames
+    that cover n, leaving out a tap that reaches before its frame's start, as
+    each frame's filter starts at rest.  Every a[0] is 1, so the blended
+    a[0] is the overlap-add weight.  In exact arithmetic this is the
+    per-frame overlap-add; its sums run in another order, so the residual
+    differs from a per-frame ``lfilter`` loop's by a few ulps of the largest
+    residual nearby (and is exactly zero where that is zero), while the
+    coefficients are bit-identical to that loop's.  The taps are blended in blocks of hop
+    rows of at most ``_TAP_BLOCK_VALUES`` taps, each one ``matmul`` of the
+    covering frames' taps with the window cut into hop-long chunks, then
+    filtered by one ``einsum`` over a strided view of the samples; only the
+    first and last blocks copy theirs, zero-padded.  The residual is the
+    same bit for bit at any block size.  The peak memory is the residual,
+    the coefficients and one block: on a 20 s input at 16 kHz, about twice
+    the input's size.
+    The frame off the hop grid is filtered on its own and added last.
+    A frame must hold more than order + 1 samples to fit order coefficients
+    (this rejects only rates below 1.7 kHz).
     Zero-energy frames contribute a zero residual; a frame whose Levinson
     recursion breaks down falls back to the previous healthy frame's
     coefficients, or to the identity filter before the first healthy frame.
@@ -119,9 +129,8 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
         raise InvalidInputError(
             f"signal too short for LP analysis: {x.size} samples < 2 frames ({2 * frame})")
 
-    starts = np.arange(0, x.size - frame + 1, hop)
-    if starts[-1] + frame < x.size:
-        starts = np.append(starts, x.size - frame)
+    grid = np.arange(0, x.size - frame + 1, hop)
+    starts = grid if grid[-1] + frame == x.size else np.append(grid, x.size - frame)
     window = np.hamming(frame)
 
     frames = sliding_window_view(x, frame)
@@ -136,18 +145,60 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
 
     coeffs, _, ok = levinson(lags)
     # row 0 is the identity filter; each frame takes the row of its last healthy
-    # frame, reversed for np.correlate
+    # frame, reversed: column i is tap order - i, which multiplies x[n - order + i]
     identity = np.zeros((1, order + 1))
     identity[0, 0] = 1.0
     last_ok = np.maximum.accumulate(np.where(ok, np.arange(1, len(starts) + 1), 0))
     taps = np.concatenate([identity, coeffs])[last_ok, ::-1]
+    del lags, coeffs
 
-    out, weight = np.zeros((2, x.size))
-    for start, row in zip(starts.tolist(), taps):
-        out[start:start + frame] += np.correlate(frames[start], row, "full")[:frame] * window
-        weight[start:start + frame] += window
-    # every sample lies in a frame, and the Hamming window is positive
-    return out / weight
+    # Hop row r holds samples r*hop .. r*hop + hop - 1.  Grid frame f covers
+    # rows f .. f + chunks - 1 and weighs row f + d with window chunk d, so row
+    # r blends the frames r - chunks + 1 .. r with the chunks chunks - 1 .. 0.
+    # kernel[i, e, j] is that chunk's weight for column i at sample j of the
+    # row, zero where the column's tap reaches before the frame's start.
+    chunks = -(-frame // hop)
+    pieces = np.zeros(chunks * hop)
+    pieces[:frame] = window
+    in_frame = np.arange(chunks - 1, -1, -1)[:, None] * hop + np.arange(hop)
+    kernel = np.where(in_frame >= np.arange(order, -1, -1)[:, None, None], pieces[in_frame], 0.0)
+    rows = -(-x.size // hop)
+    # Two rows at least: numpy runs a one-row matmul as a BLAS gemv, which
+    # rounds otherwise.  A last block of one row is safe: only the last grid
+    # frame covers it, so each of its sums has one nonzero term.
+    block = max(_TAP_BLOCK_VALUES // (hop * (order + 1)), 2)
+    padded = np.zeros((rows + chunks - 1, order + 1))  # grid frame f in row f + chunks - 1
+    padded[chunks - 1:chunks - 1 + len(grid)] = taps[:len(grid)]
+    covering = sliding_window_view(padded, chunks, axis=0).transpose(1, 0, 2)
+
+    # samples from `tail` on wait for the frame off the hop grid, if there is one
+    tail = starts[-1] if len(starts) > len(grid) else x.size
+    out = np.empty(x.size)
+    tail_weight = np.empty(x.size - tail)
+    for r0 in range(0, rows, block):
+        r1 = min(r0 + block, rows)
+        blended = np.matmul(covering[:, r0:r1], kernel)  # column, row, sample in row
+        lo, hi = r0 * hop - order, r1 * hop
+        samples = x[max(lo, 0):hi]
+        if lo < 0 or hi > x.size:
+            samples = np.pad(samples, (max(-lo, 0), max(hi - x.size, 0)))
+        step = samples.strides[0]
+        past = as_strided(samples, (r1 - r0, order + 1, hop), (hop * step, step, step),
+                          writeable=False)  # row, column, sample in row
+        residual = np.einsum("rij,irj->rj", past, blended).ravel()
+        weight = blended[order].ravel()  # the blended a[0]
+        n0, n1 = r0 * hop, min(hi, x.size)
+        cut = min(max(tail, n0), n1)
+        # every sample lies in a frame, and the Hamming window is positive
+        out[n0:cut] = residual[:cut - n0] / weight[:cut - n0]
+        out[cut:n1] = residual[cut - n0:n1 - n0]
+        tail_weight[cut - tail:n1 - tail] = weight[cut - n0:n1 - n0]
+        del blended, weight  # a view of the block would keep it alive into the next
+    if tail < x.size:
+        out[tail:] += np.correlate(x[tail:], taps[-1], "full")[:frame] * window
+        tail_weight += window
+        out[tail:] /= tail_weight
+    return out
 
 
 def skewness(x) -> float:

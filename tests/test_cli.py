@@ -154,6 +154,22 @@ class TestEval:
         err = capsys.readouterr().err
         assert "--snr" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("snr,levels", [("-5,0", {"-5", "0"}), ("-2.5,-10", {"-2.5", "-10"}),
+                                            ("-5", {"-5"}), ("0,-5", {"-5", "0"})])
+    def test_negative_snr_levels(self, tmp_path, snr, levels):
+        # argparse once read "-5,0" after --snr as an option and exited 64
+        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{wav.name},positive,speech\n", encoding="utf-8")
+        reports = []
+        for form in (["--snr", snr], [f"--snr={snr}"]):
+            out = tmp_path / "report.json"
+            assert main(["eval", "--manifest", str(manifest), "--methods", "hp", *form,
+                         "--out", str(out)]) == 0
+            reports.append(out.read_text(encoding="utf-8"))
+        assert reports[0] == reports[1]
+        assert set(json.loads(reports[0])["per_snr"]["hp"]) == levels
+
     @pytest.mark.parametrize("methods", [",", "HP", "hp,bogus"])
     def test_bad_methods_usage_error(self, tmp_path, capsys, methods):
         wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)

@@ -27,10 +27,12 @@ def traced_peak(fn, *args) -> int:
 # Multiples of the input's bytes.  Whole-file frame matrices reach about 14x
 # (pitch: every 40 ms frame copied and transformed) and 5.3x (LP: every
 # windowed frame copied); in blocks the pitch keeps one ACF row prefix per
-# frame and one normalized copy of it, about 2x, and LP its output and
-# weights, under 4x.  ZFF held 6x with its four cumulative sums in
-# np.longdouble; three float64 integrate-and-detrend passes hold its output
-# and the moving average's two input-sized temporaries, 3x.
+# frame and one normalized copy of it, about 2x.  LP held its output, its
+# weights and their quotient, 3.75x (3.38x at order 8); filtering with
+# blended taps it holds its output, the coefficients and one block of taps,
+# 2.0x (1.8x).  ZFF held 6x with its four cumulative sums in np.longdouble;
+# three float64 integrate-and-detrend passes hold its output and the moving
+# average's two input-sized temporaries, 3x.
 @pytest.mark.parametrize("fn,args,bound", [
     (estimate_mean_pitch, (), 2.5),
     (lp_residual, (None,), 4.5),
