@@ -93,21 +93,20 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
     bit-identical to those of a whole-signal frame matrix.
     The overlap-add is one time-varying FIR, ``out[n] = sum_k x[n-k] c_k[n]``,
     so each sample is filtered once, not once per frame that covers it:
-    ``c_k[n]`` sums ``window[n - start] * a[k]`` over the hop-grid frames
-    that cover n, leaving out a tap that reaches before its frame's start, as
-    each frame's filter starts at rest.  Every a[0] is 1, so the blended
-    a[0] is the overlap-add weight.  In exact arithmetic this is the
-    per-frame overlap-add; its sums run in another order, so the residual
-    differs from a per-frame ``lfilter`` loop's by a few ulps of the largest
-    residual nearby (and is exactly zero where that is zero), while the
-    coefficients are bit-identical to that loop's.  The taps are blended in blocks of hop
-    rows of at most ``_TAP_BLOCK_VALUES`` taps, each one ``matmul`` of the
-    covering frames' taps with the window cut into hop-long chunks, then
-    filtered by one ``einsum`` over a strided view of the samples; only the
-    first and last blocks copy theirs, zero-padded.  The residual is the
-    same bit for bit at any block size.  The peak memory is the residual,
-    the coefficients and one block: on a 20 s input at 16 kHz, about twice
-    the input's size.
+    ``c_k[n]`` sums ``window[n - start] * a[k]`` over the hop-grid frames that
+    cover n, leaving out a tap that reaches before its frame's start, as each
+    frame's filter starts at rest.  Every a[0] is 1, so the blended a[0] is the
+    overlap-add weight.  In exact arithmetic this is the per-frame overlap-add;
+    its sums run in another order, so the residual differs from a per-frame
+    ``lfilter`` loop's by a few ulps of the largest residual nearby (and is
+    exactly zero where that is zero), while the coefficients are bit-identical
+    to that loop's.  The taps are blended in blocks of hop rows of at most
+    ``_TAP_BLOCK_VALUES`` taps, each one ``matmul`` of the covering frames'
+    taps with the window cut into hop-long chunks, then filtered by one
+    ``einsum`` over a strided view of the samples; only the first and last
+    blocks copy theirs, zero-padded.  The residual is the same bit for bit at
+    any block size.  The peak memory is the residual, the coefficients and one
+    block: on a 20 s input at 16 kHz, about twice the input's size.
     The frame off the hop grid is filtered on its own and added last.
     A frame must hold more than order + 1 samples to fit order coefficients
     (this rejects only rates below 1.7 kHz).
