@@ -141,20 +141,20 @@ def extract_epochs(y: Signal) -> EpochList:
     fs = y.sample_rate_hz
     prod = v[:-1] * v[1:]
     locs = np.nonzero(prod < 0.0)[0]
-    if locs.size == 0:
-        return EpochList(np.empty(0, dtype=np.int64), fs)
     refined = np.where(np.abs(v[locs]) <= np.abs(v[locs + 1]), locs, locs + 1)
 
     min_gap = int(round(fs / 1000.0))
-    lo = BOUNDARY_GUARD_SAMPLES
-    hi = v.size - BOUNDARY_GUARD_SAMPLES
-    accepted = []
-    last = -min_gap - 1
-    for idx in refined:
-        if idx < lo or idx >= hi:
-            continue
-        if idx - last < min_gap:
-            continue
-        accepted.append(int(idx))
-        last = int(idx)
-    return EpochList(np.asarray(accepted, dtype=np.int64), fs)
+    inside = refined[(refined >= BOUNDARY_GUARD_SAMPLES)
+                     & (refined < v.size - BOUNDARY_GUARD_SAMPLES)]
+    # A crossing at least min_gap after its predecessor is always accepted:
+    # the last accepted crossing is never later than that predecessor.  So
+    # only the crossings closer to their predecessor need the greedy scan,
+    # in order, each against the latest accepted crossing before it.
+    close = np.flatnonzero(np.diff(inside) < min_gap) + 1
+    accepted = np.ones(inside.size, dtype=bool)
+    for i, here, before in zip(close.tolist(), inside[close].tolist(),
+                               inside[close - 1].tolist()):
+        if accepted[i - 1]:
+            last = before
+        accepted[i] = here - last >= min_gap
+    return EpochList(inside[accepted].astype(np.int64), fs)

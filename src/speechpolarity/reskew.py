@@ -50,28 +50,49 @@ def _lp_order(order: int | None, sample_rate_hz: int) -> int:
 def levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch Levinson-Durbin recursion.
 
-    ``r`` holds autocorrelation lags 0..p per row.  Returns (a, err, ok)
-    where ``a`` are the prediction polynomials [1, a1..ap], ``err`` the final
+    ``r`` holds autocorrelation lags 0..p per row, one row (1-D) or a matrix
+    of rows (2-D) with at least the zero lag.  Returns (a, err, ok) where
+    ``a`` are the prediction polynomials [1, a1..ap], ``err`` the final
     prediction error, and ``ok`` flags rows whose prediction error stayed
     positive throughout the recursion.  Rows that break down keep the
-    coefficients computed up to the failing stage and are marked not-ok.
+    coefficients computed up to the failing stage and are marked not-ok;
+    inf or NaN lags, or an overflow, break a row down without a warning.
+    Any other shape raises ``InvalidInputError``.
+    The recursion runs on the live rows only, compacted at each stage where
+    a row breaks down, which is then written back as it stands.  A row's
+    arithmetic does not depend on the others, so the result is bit-identical
+    to masking the dead rows at every stage of a recursion over all of them.
     """
-    r = np.atleast_2d(np.asarray(r, dtype=np.float64))
+    r = np.asarray(r, dtype=np.float64)
+    if r.ndim not in (1, 2) or r.shape[-1] == 0:
+        raise InvalidInputError(
+            f"lags must be a 1-D or 2-D array with a zero lag, got shape {r.shape}")
+    r = np.atleast_2d(r)
     nf, p1 = r.shape
-    p = p1 - 1
     a = np.zeros((nf, p1))
     a[:, 0] = 1.0
     err = r[:, 0].copy()
-    ok = err > 0.0
-    for i in range(1, p + 1):
-        acc = np.einsum("fj,fj->f", a[:, 1:i], r[:, i - 1:0:-1])  # +0.0 at i = 1
-        safe = np.where(ok & (err > 0.0), err, 1.0)
-        k = np.where(ok, -(r[:, i] + acc) / safe, 0.0)
-        np.copyto(a[:, 1:i], a[:, 1:i] + k[:, None] * a[:, i - 1:0:-1], where=ok[:, None])
-        # k is +0.0 on rows that broke down, and their a[:, i] is still the initial +0.0
-        a[:, i] = k
-        err = np.where(ok, err * (1.0 - k * k), err)
-        ok = ok & (err > 0.0)
+    live = np.flatnonzero(err > 0.0)
+    a_live, r_live, err_live = a[live], r[live], err[live]
+    # inf or NaN lags, or an overflow, leave a row a non-positive or NaN error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, p1):
+            acc = np.einsum("fj,fj->f", a_live[:, 1:i], r_live[:, i - 1:0:-1])  # +0.0 at i = 1
+            k = -(r_live[:, i] + acc) / err_live
+            a_live[:, 1:i] = a_live[:, 1:i] + k[:, None] * a_live[:, i - 1:0:-1]
+            a_live[:, i] = k
+            err_live = err_live * (1.0 - k * k)
+            healthy = err_live > 0.0
+            if not healthy.all():  # write the broken rows back as they stand, then drop them
+                broken = ~healthy
+                a[live[broken]] = a_live[broken]
+                err[live[broken]] = err_live[broken]
+                live = live[healthy]
+                a_live, r_live, err_live = a_live[healthy], r_live[healthy], err_live[healthy]
+    a[live] = a_live
+    err[live] = err_live
+    ok = np.zeros(nf, dtype=bool)
+    ok[live] = True
     return a, err, ok
 
 
@@ -88,9 +109,14 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
     Frames start every hop; when the hops leave the last samples uncovered,
     one more frame ends at the signal's end.
     The windowed frames behind the lags are copied ``_LAG_BLOCK_FRAMES``
-    frames at a time, each block freed before the next; a row's lags are
-    the same ``einsum`` sums at any block size, so the coefficients are
-    bit-identical to those of a whole-signal frame matrix.
+    frames at a time, each block freed before the next.  Each lag is one
+    BLAS inner product per row (a batched 1 x n by n x 1 ``matmul``, which
+    numpy runs as ``ddot``), whose bits do not depend on the row's block or
+    address, so the coefficients are bit-identical at any block size and to
+    those of a whole-signal frame matrix.  (OpenBLAS splits a dot product of
+    more than 10,000 values over its threads, so above 400 kHz their last
+    bits can depend on the BLAS thread count.)  A frame whose lags overflow
+    does so silently; its Levinson recursion breaks down.
     The overlap-add is one time-varying FIR, ``out[n] = sum_k x[n-k] c_k[n]``,
     so each sample is filtered once, not once per frame that covers it:
     ``c_k[n]`` sums ``window[n - start] * a[k]`` over the hop-grid frames that
@@ -137,9 +163,11 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
     for b in range(0, len(starts), _LAG_BLOCK_FRAMES):
         windowed = frames[starts[b:b + _LAG_BLOCK_FRAMES]]
         windowed *= window
-        for k in range(order + 1):
-            lags[b:b + _LAG_BLOCK_FRAMES, k] = np.einsum("fj,fj->f", windowed[:, :frame - k],
-                                                         windowed[:, k:])
+        # a frame whose lags overflow breaks its Levinson recursion down
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(order + 1):  # one BLAS dot product per row
+                lags[b:b + _LAG_BLOCK_FRAMES, k] = np.matmul(windowed[:, None, :frame - k],
+                                                             windowed[:, k:, None])[:, 0, 0]
         del windowed
 
     coeffs, _, ok = levinson(lags)

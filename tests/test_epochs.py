@@ -1,5 +1,7 @@
 """ZFF filtering, pitch estimation, and epoch extraction on generator ground truth."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.signal import filtfilt
@@ -8,7 +10,8 @@ from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec, esti
                             extract_epochs, generate_utterance, glottal_flow_estimate,
                             zff_filter)
 from speechpolarity.dsp import butterworth, centered_moving_average
-from speechpolarity.epochs import (_PITCH_BLOCK_FRAMES, PITCH_FALLBACK_HZ, PITCH_FRAME_MS,
+from speechpolarity.epochs import (_PITCH_BLOCK_FRAMES, BOUNDARY_GUARD_SAMPLES,
+                                   PITCH_FALLBACK_HZ, PITCH_FRAME_MS,
                                    PITCH_HOP_MS, ZFF_TREND_PASSES)
 from speechpolarity.hilbert_phase import BAND_HIGH_HZ, BAND_LOW_HZ
 from test_acceptance import evaluation_specs
@@ -130,6 +133,30 @@ def longdouble_zff(s: Signal, mean_pitch_hz: float) -> Signal:
     y[:2 * width] = 0.0
     y[y.size - 2 * width:] = 0.0
     return Signal(y, s.sample_rate_hz)
+
+
+def reference_extract_epochs(y: Signal) -> np.ndarray:
+    """The greedy scan over every refined crossing, one Python step each."""
+    v = y.samples
+    locs = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+    refined = np.where(np.abs(v[locs]) <= np.abs(v[locs + 1]), locs, locs + 1)
+    min_gap = int(round(y.sample_rate_hz / 1000.0))
+    accepted = []
+    last = -min_gap - 1
+    for idx in refined:
+        if idx < BOUNDARY_GUARD_SAMPLES or idx >= v.size - BOUNDARY_GUARD_SAMPLES:
+            continue
+        if idx - last < min_gap:
+            continue
+        accepted.append(int(idx))
+        last = int(idx)
+    return np.asarray(accepted, dtype=np.int64)
+
+
+def assert_epochs_match_reference(y: Signal) -> None:
+    got = extract_epochs(y).indices
+    want = reference_extract_epochs(y)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestMeanPitch:
@@ -295,3 +322,54 @@ class TestExtractEpochs:
         epochs = extract_epochs(zff(s))
         per_second = len(epochs) / s.duration_s
         assert 1.6 * pitch <= per_second <= 2.4 * pitch
+
+    @pytest.mark.parametrize("fs", (8000, 16000, 48000))
+    def test_matches_greedy_loop_on_zff_outputs(self, fs):
+        # every 25th A5 utterance, and white noise, whose ZFF outputs cross often
+        for spec in evaluation_specs()[::25]:
+            assert_epochs_match_reference(zff(generate_utterance(replace(spec,
+                                                                         sample_rate_hz=fs))))
+        rng = np.random.default_rng(fs)
+        for _ in range(4):
+            assert_epochs_match_reference(zff(Signal(rng.standard_normal(fs), fs)))
+
+    @staticmethod
+    def crossings_at(n, flips, seed):
+        """Random magnitudes whose sign flips after each index in ``flips``."""
+        rng = np.random.default_rng(seed)
+        steps = np.zeros(n, dtype=int)
+        steps[np.asarray(flips) + 1] = 1
+        return rng.uniform(0.1, 1.0, n) * np.where(np.cumsum(steps) % 2, -1.0, 1.0)
+
+    def test_matches_greedy_loop_on_hand_built_crossings(self):
+        fs, n = FS, 2000  # min_gap 16 samples, the boundary guard 16
+        gap = int(round(fs / 1000.0))
+        cases = {
+            "none": np.ones(n),
+            "inside the guard only": self.crossings_at(n, [3, 9, n - 12, n - 4], 0),
+            "guard and interior": self.crossings_at(n, [2, 14, 15, 16, 40, n - 18, n - 17, n - 3],
+                                                    1),
+            # runs of 3 or more crossings closer than min_gap, and isolated ones
+            "runs": self.crossings_at(n, [100, 105, 110, 115, 120, 125, 130, 200, 210, 219, 300,
+                                          301, 302, 303, 304, 305, 306, 307, 308, 309, 310, 500,
+                                          500 + gap, 500 + 2 * gap - 1, 700], 2),
+            "dense noise": self.crossings_at(n, np.flatnonzero(
+                np.random.default_rng(3).random(n - 1) < 0.3), 4),
+        }
+        # duplicate refined indices: a sign run of one tiny sample is both
+        # crossings' sample nearest zero
+        duplicates = np.ones(n)
+        for k in (400, 800, 803, 806):
+            duplicates[k] = -1e-3
+        cases["duplicates"] = duplicates
+        for v in cases.values():
+            assert_epochs_match_reference(Signal(v, fs))
+        locs = np.nonzero(duplicates[:-1] * duplicates[1:] < 0.0)[0]
+        refined = np.where(np.abs(duplicates[locs]) <= np.abs(duplicates[locs + 1]), locs,
+                           locs + 1)
+        assert np.any(np.diff(refined) == 0)
+        assert len(extract_epochs(Signal(cases["none"], fs))) == 0
+        assert len(extract_epochs(Signal(cases["inside the guard only"], fs))) == 0
+        # the greedy scan keeps two of the first run's seven crossings, 100 to 131
+        runs = extract_epochs(Signal(cases["runs"], fs)).indices
+        assert runs[(runs >= 100) & (runs <= 131)].size == 2

@@ -44,8 +44,9 @@ def reference_lp_residual(s: Signal, order: int | None) -> np.ndarray:
     frames = np.stack([x[k:k + frame] for k in starts])
     windowed = frames * window
     lags = np.empty((len(starts), order + 1))
-    for k in range(order + 1):
-        lags[:, k] = np.einsum("fj,fj->f", windowed[:, :frame - k], windowed[:, k:])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in lp_residual
+        for k in range(order + 1):
+            lags[:, k] = np.matmul(windowed[:, None, :frame - k], windowed[:, k:, None])[:, 0, 0]
     coeffs, _, ok = levinson(lags)
     prev = np.zeros(order + 1)
     prev[0] = 1.0
@@ -167,6 +168,71 @@ class TestLevinson:
             assert reference_levinson(r)[2].all()
             self.assert_matches_reference(r)
 
+    @staticmethod
+    def healthy_lags(rows, order, seed):
+        x = np.random.default_rng(seed).standard_normal((rows, 600)) * np.hamming(600)
+        r = frame_lags(x, order)
+        assert reference_levinson(r)[2].all()
+        return r
+
+    @staticmethod
+    def break_at(r, stage):
+        """Break rows at ``stage``: a lag far above the energy makes |k| > 1 there."""
+        r = r.copy()
+        r[:, stage] = 1e6 * r[:, 0]
+        assert reference_levinson(r[:, :stage])[2].all()
+        assert not reference_levinson(r[:, :stage + 1])[2].any()
+        return r
+
+    @pytest.mark.parametrize("order", (8, 40))
+    def test_rows_breaking_at_first_middle_and_last_stage(self, order):
+        r = self.healthy_lags(40, order, seed=order)
+        for rows, stage in ((slice(3, 6), 1), (slice(10, 12), order // 2), (slice(30, 31), order)):
+            r[rows] = self.break_at(r[rows], stage)
+        assert reference_levinson(r)[2].sum() == 34
+        self.assert_matches_reference(r)
+
+    @pytest.mark.parametrize("order", (8, 40))
+    def test_every_row_breaking(self, order):
+        r = self.healthy_lags(3 * order, order, seed=50 + order)
+        r = np.vstack([self.break_at(r[i::order], i + 1) for i in range(order)])
+        assert not reference_levinson(r)[2].any()
+        self.assert_matches_reference(r)
+
+    def test_no_row_healthy_at_the_start(self):
+        self.assert_matches_reference(np.zeros((5, 11)))
+        r = np.zeros((4, 9))
+        r[:, 0] = (0.0, -0.0, -1.0, np.nan)
+        r[:, 1] = 0.5
+        self.assert_matches_reference(r)
+
+    @pytest.mark.parametrize("stage", (None, 1, 5, 10))
+    def test_single_one_dimensional_row(self, stage):
+        r = self.healthy_lags(1, 10, seed=60)
+        if stage is not None:
+            r = self.break_at(r, stage)
+        self.assert_matches_reference(r[0])
+        assert levinson(r[0])[0].shape == (1, 11)
+
+    def test_overflowing_rows_break_down_silently(self):
+        # a RuntimeWarning fails the suite: inf lags, and a lag whose k * k
+        # overflows, end their rows without one
+        r = self.healthy_lags(3, 8, seed=70)
+        r[1] = np.inf
+        r[2, 3] = 1e300 * r[2, 0]
+        assert levinson(r)[2].tolist() == [True, False, False]
+
+    def test_one_zero_lag_per_row(self):
+        a, err, ok = levinson(np.array([[2.0], [0.0]]))
+        assert a.tolist() == [[1.0], [1.0]] and err.tolist() == [2.0, 0.0]
+        assert ok.tolist() == [True, False]
+
+    @pytest.mark.parametrize("r", (np.array([]), np.zeros((2, 0)), np.zeros((2, 3, 4)),
+                                   np.float64(1.0)), ids=("empty", "no-lag-column", "3-d", "0-d"))
+    def test_malformed_lags_rejected(self, r):
+        with pytest.raises(InvalidInputError, match="lags"):
+            levinson(r)
+
 
 class TestLpResidual:
     def test_whitens_synthetic_vowel(self):
@@ -267,6 +333,20 @@ class TestLpResidual:
         for n in lengths:
             for order in (None, 8):
                 assert_matches_reference(Signal(x[:n], fs), order)
+
+    @pytest.mark.parametrize("fs", (16000, 44100, 48000))
+    def test_lags_are_bit_identical_at_any_block_size(self, monkeypatch, fs):
+        # 1.5 s is 296 frames (297 at 44.1 kHz, the last off the hop grid):
+        # blocks of 1 and 7 frames, the default 256 and one block of all frames.
+        # A row's BLAS dot product must not depend on its block or address.
+        s = generate_utterance(SynthSpec(pitch_hz=115.0, duration_s=1.5, sample_rate_hz=fs,
+                                         seed=27))
+        for order in (None, 8):
+            default = lp_residual(s, order).tobytes()
+            for block in (1, 7, _LAG_BLOCK_FRAMES, s.samples.size):
+                monkeypatch.setattr(reskew, "_LAG_BLOCK_FRAMES", block)
+                assert lp_residual(s, order).tobytes() == default
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("fs,orders", [(16000, (None, 8)), (44100, (None, 8)), (1000, (23,))])
     def test_tap_block_boundaries_are_bit_identical(self, monkeypatch, fs, orders):
