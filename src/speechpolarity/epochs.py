@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import centered_moving_average
+from .dsp import odd_window, subtract_moving_average
 from .types import EpochList, InvalidInputError, Signal
 
 # Crossings this close to the signal boundary are discarded (FFT-edge zone
@@ -105,15 +105,15 @@ def zff_filter(s: Signal, mean_pitch_hz: float) -> Signal:
     removes; the outermost two trend windows, where it stays, are zeroed.
     The trend window is 1.5 periods of ``mean_pitch_hz`` (``estimate_mean_pitch``'s
     result; it must be positive and finite), clamped to [3, 25] ms.
+    Each pass integrates and detrends in place (``subtract_moving_average``),
+    so the peak memory is the output and one cumulative-sum buffer, about
+    twice the input's size.
     """
     fs = s.sample_rate_hz
     if not 0.0 < mean_pitch_hz < np.inf:
         raise InvalidInputError(f"mean pitch must be positive and finite, got {mean_pitch_hz}")
     window_ms = float(np.clip(1.5 * 1000.0 / mean_pitch_hz, 3.0, 25.0))
-    width = int(round(window_ms * fs / 1000.0))
-    if width % 2 == 0:
-        width += 1
-    width = max(width, 3)
+    width = odd_window(round(window_ms * fs / 1000.0))
     if s.samples.size < 3 * width:
         raise InvalidInputError(
             f"signal too short for ZFF: {s.samples.size} samples < 3 trend windows ({3 * width})")
@@ -121,7 +121,7 @@ def zff_filter(s: Signal, mean_pitch_hz: float) -> Signal:
     y = s.samples - s.samples[0]
     for _ in range(ZFF_TREND_PASSES):  # one pole at DC, then its trend removed, in place
         np.cumsum(y, out=y)
-        y -= centered_moving_average(y, width)
+        subtract_moving_average(y, width)
 
     guard = min(2 * width, y.size)
     y[:guard] = 0.0

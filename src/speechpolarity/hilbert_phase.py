@@ -53,9 +53,9 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import prev_fast_len
-from scipy.signal import filtfilt, resample_poly
+from scipy.signal import resample_poly
 
-from .dsp import analytic_signal, butterworth, cosine_phase, hilbert_envelope
+from .dsp import analytic_signal, cosine_phase, hilbert_envelope, zero_phase_butterworth
 from .epochs import estimate_mean_pitch, extract_epochs, zff_filter
 from .reskew import glottal_flow_estimate
 from .types import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
@@ -148,7 +148,8 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
     x = s.samples[:prev_fast_len(s.samples.size)]  # both Hilbert transforms at a fast length
 
     # detector_input requires fs >= 1 kHz, so the upper band edge is at least 475 Hz
-    band = Signal(filtfilt(*butterworth(2, fs, BAND_HIGH_HZ, BAND_LOW_HZ), x), fs)
+    band = Signal(zero_phase_butterworth(x, 2, fs, BAND_HIGH_HZ, BAND_LOW_HZ), fs)
+    del s, x  # the rescaled input; the caller's own stays alive
     pitch = estimate_mean_pitch(band)
     epochs = extract_epochs(zff_filter(band, pitch))
     peaks = select_he_peaks(hilbert_envelope(analytic_signal(np.gradient(band.samples))), epochs)
@@ -156,6 +157,7 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
     positive = negative = 0
     if peaks.size:
         flow = glottal_flow_estimate(band, HP_RESIDUAL_ORDER, mean_pitch_hz=pitch)
+        del band
         means = _phase_reads(cosine_phase(analytic_signal(flow)), fs, peaks, pitch)
         positive = int(np.count_nonzero(means >= MIN_PHASE_MAGNITUDE))
         negative = int(np.count_nonzero(means <= -MIN_PHASE_MAGNITUDE))

@@ -14,9 +14,9 @@ from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy.signal import filtfilt, lfilter
+from scipy.signal import lfilter
 
-from .dsp import butterworth, centered_moving_average
+from .dsp import subtract_moving_average, zero_phase_butterworth
 from .epochs import estimate_mean_pitch
 from .types import (InvalidInputError, Polarity, PolarityDecision, Signal, UndefinedStatisticError,
                     detector_input)
@@ -35,8 +35,9 @@ RESIDUAL_SMOOTH_HZ = 800.0
 INTEGRATION_PERIODS = 2.0
 DETREND_PERIODS = 1.2
 
-_LAG_BLOCK_FRAMES = 256  # windowed LP frames copied per block of lags
-_TAP_BLOCK_VALUES = 1 << 17  # blended LP taps per block of hop rows (1 MiB)
+# values per block: windowed LP frames copied per block of lags, and blended
+# LP taps per block of hop rows (1 MiB, which stays in a 2 MiB L2 cache)
+_TAP_BLOCK_VALUES = 1 << 17
 
 
 def _lp_order(order: int | None, sample_rate_hz: int) -> int:
@@ -108,12 +109,13 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
     window as weight, normalized so every sample has total weight one.
     Frames start every hop; when the hops leave the last samples uncovered,
     one more frame ends at the signal's end.
-    The windowed frames behind the lags are copied ``_LAG_BLOCK_FRAMES``
-    frames at a time, each block freed before the next.  Each lag is one
-    BLAS inner product per row (a batched 1 x n by n x 1 ``matmul``, which
-    numpy runs as ``ddot``), whose bits do not depend on the row's block or
-    address, so the coefficients are bit-identical at any block size and to
-    those of a whole-signal frame matrix.  (OpenBLAS splits a dot product of
+    The windowed frames behind the lags are copied in blocks of at most
+    ``_TAP_BLOCK_VALUES`` values (at least one frame), each freed before the
+    next: 109 frames at 48 kHz, 327 at 16 kHz.  Each lag is one BLAS inner
+    product per row (a batched 1 x n by n x 1 ``matmul``, which numpy runs
+    as ``ddot``), whose bits do not depend on the row's block or address,
+    so the coefficients are bit-identical at any block size and to those
+    of a whole-signal frame matrix.  (OpenBLAS splits a dot product of
     more than 10,000 values over its threads, so above 400 kHz their last
     bits can depend on the BLAS thread count.)  A frame whose lags overflow
     does so silently; its Levinson recursion breaks down.
@@ -160,14 +162,15 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
 
     frames = sliding_window_view(x, frame)
     lags = np.empty((len(starts), order + 1))
-    for b in range(0, len(starts), _LAG_BLOCK_FRAMES):
-        windowed = frames[starts[b:b + _LAG_BLOCK_FRAMES]]
+    per_block = max(_TAP_BLOCK_VALUES // frame, 1)
+    for b in range(0, len(starts), per_block):
+        windowed = frames[starts[b:b + per_block]]
         windowed *= window
         # a frame whose lags overflow breaks its Levinson recursion down
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(order + 1):  # one BLAS dot product per row
-                lags[b:b + _LAG_BLOCK_FRAMES, k] = np.matmul(windowed[:, None, :frame - k],
-                                                             windowed[:, k:, None])[:, 0, 0]
+                lags[b:b + per_block, k] = np.matmul(windowed[:, None, :frame - k],
+                                                     windowed[:, k:, None])[:, 0, 0]
         del windowed
 
     coeffs, _, ok = levinson(lags)
@@ -249,8 +252,9 @@ def glottal_flow_estimate(s: Signal, order: int | None = None, *,
     """Rough glottal-flow approximation from the LP residual.
 
     The residual at LP order ``order`` (default: ``lp_residual``'s rule) is
-    lowpass-smoothed (whitening ringing removed), leaky-integrated over
-    roughly ``INTEGRATION_PERIODS`` pitch periods, and detrended with a
+    lowpass-smoothed (whitening ringing removed) by a zero-phase order-4
+    Butterworth at ``RESIDUAL_SMOOTH_HZ``, leaky-integrated over roughly
+    ``INTEGRATION_PERIODS`` pitch periods, and detrended in place by a
     centered moving average of ``DETREND_PERIODS`` pitch periods so that
     integration drift and sub-pitch noise do not drown the flow bumps.
     ``mean_pitch_hz`` is ``estimate_mean_pitch``'s result; it must be
@@ -259,13 +263,13 @@ def glottal_flow_estimate(s: Signal, order: int | None = None, *,
     fs = s.sample_rate_hz
     if not 0.0 < mean_pitch_hz < np.inf:
         raise InvalidInputError(f"mean pitch must be positive and finite, got {mean_pitch_hz}")
-    b, a = butterworth(4, fs, RESIDUAL_SMOOTH_HZ)
-    smooth = filtfilt(b, a, lp_residual(s, order))
+    smooth = zero_phase_butterworth(lp_residual(s, order), 4, fs, RESIDUAL_SMOOTH_HZ)
 
     tau = INTEGRATION_PERIODS * fs / mean_pitch_hz
     pole = float(np.exp(-1.0 / tau))
     g = lfilter([1.0], [1.0, -pole], smooth)
-    return g - centered_moving_average(g, int(round(DETREND_PERIODS * fs / mean_pitch_hz)))
+    del smooth
+    return subtract_moving_average(g, int(round(DETREND_PERIODS * fs / mean_pitch_hz)))
 
 
 def reskew_statistic(s: Signal) -> float:

@@ -1,11 +1,20 @@
 """Analytic-signal machinery against closed forms and an independent kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.fft import irfft, rfft
+from scipy.signal import filtfilt
 
-from speechpolarity import (InvalidInputError, Signal, analytic_signal, cosine_phase,
-                            hilbert_envelope, hilbert_transform)
+from speechpolarity import (InvalidInputError, Signal, SynthSpec, analytic_signal, cosine_phase,
+                            generate_utterance, hilbert_envelope, hilbert_transform)
+from speechpolarity.dsp import butterworth, zero_phase_butterworth
+from speechpolarity.hilbert_phase import BAND_HIGH_HZ, BAND_LOW_HZ
+from speechpolarity.reskew import RESIDUAL_SMOOTH_HZ
 
 FS = 16000
 EDGE = 16
@@ -197,3 +206,63 @@ class TestEnvelopeAndPhase:
         x = bandlimited_noise(4096, FS, 100, 6000, 11)
         phase = cosine_phase(analytic_signal(x))
         assert phase.min() >= -1.0 and phase.max() <= 1.0
+
+    @pytest.mark.parametrize("fs", (8000, 16000, 22050, 44100, 48000))
+    def test_envelope_within_one_ulp_of_hypot(self, fs):
+        x = generate_utterance(SynthSpec(pitch_hz=135.0, sample_rate_hz=fs, seed=31)).samples
+        for signal in (x, np.gradient(x)):  # the flow's and the peak search's kind of pair
+            pair = analytic_signal(signal)
+            want = np.hypot(*pair)
+            assert np.all(np.abs(hilbert_envelope(pair) - want) <= np.spacing(want))
+
+    @pytest.mark.parametrize("peak", (1e300, 1e-300))
+    def test_extreme_peaks_take_the_scaled_path_without_a_warning(self, peak):
+        x = bandlimited_noise(4096, FS, 100, 6000, 12)
+        real, imag = pair = analytic_signal(x * (peak / np.abs(x).max()))
+        with np.errstate(all="ignore"):  # unscaled, the squares overflow or underflow
+            assert not 2.0 ** -1000 <= (real * real + imag * imag).max() < np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = hilbert_envelope(pair)
+            phase = cosine_phase(pair)
+        want = np.hypot(real, imag)
+        assert np.all(np.abs(env - want) <= np.spacing(want))
+        assert np.max(np.abs(phase - cosine_phase(analytic_signal(x)))) <= 1e-12
+
+
+class TestZeroPhaseButterworth:
+    @pytest.mark.parametrize("fs", (8000, 16000, 48000))
+    @pytest.mark.parametrize("order,high_hz,low_hz", [(2, BAND_HIGH_HZ, BAND_LOW_HZ),
+                                                      (4, RESIDUAL_SMOOTH_HZ, None)],
+                             ids=["band-pass", "low-pass"])
+    def test_equals_filtfilt_byte_for_byte(self, fs, order, high_hz, low_hz):
+        # 16 samples is one more than the 15-sample odd extension; then 1 s
+        x = generate_utterance(SynthSpec(pitch_hz=150.0, sample_rate_hz=fs, seed=32)).samples
+        for n in (16, fs):
+            want = filtfilt(*butterworth(order, fs, high_hz, low_hz), x[:n])
+            got = zero_phase_butterworth(x[:n], order, fs, high_hz, low_hz)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_rejects_input_not_longer_than_the_extension(self):
+        with pytest.raises(InvalidInputError, match="more than 15 samples"):
+            zero_phase_butterworth(np.ones(15), 2, FS, BAND_HIGH_HZ, BAND_LOW_HZ)
+
+
+# Elements 0 or of magnitude in [2^-200, 2^200]: their squares, even scaled by
+# 2^-400 to 2^400, are normal numbers, so a power-of-two scale is exact.
+property_settings = settings(derandomize=True, deadline=None, database=None)
+moderate = st.one_of(st.just(0.0), st.floats(2.0 ** -200, 2.0 ** 200),
+                     st.floats(-(2.0 ** 200), -(2.0 ** -200)))
+pairs = st.integers(1, 64).flatmap(
+    lambda n: st.tuples(arrays(np.float64, n, elements=moderate),
+                        arrays(np.float64, n, elements=moderate)))
+
+
+@property_settings
+@given(pair=pairs, k=st.one_of(st.integers(-200, 200), st.integers(-800, -701),
+                               st.integers(712, 800)))
+def test_envelope_commutes_with_power_of_two_scaling(pair, k):
+    # k beyond +-200 takes the scaled path: a peak in [2^-200, 2^200] scaled by
+    # 2^712 or more has a square that overflows, by 2^-701 or less one below 2^-1000
+    scaled = (np.ldexp(pair[0], k), np.ldexp(pair[1], k))
+    assert hilbert_envelope(scaled).tobytes() == np.ldexp(hilbert_envelope(pair), k).tobytes()

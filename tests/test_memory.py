@@ -1,11 +1,13 @@
-"""Peak memory of the frame analyses grows with the input, by a bounded factor."""
+"""Peak memory of the frame analyses, the flow and a whole hp call grows with the input,
+by a bounded factor."""
 
 import tracemalloc
+from functools import partial
 
 import pytest
 
-from speechpolarity import (Signal, SynthSpec, estimate_mean_pitch, generate_utterance,
-                            lp_residual, zff_filter)
+from speechpolarity import (Signal, SynthSpec, detect_polarity_hp, estimate_mean_pitch,
+                            generate_utterance, glottal_flow_estimate, lp_residual, zff_filter)
 
 
 @pytest.fixture(scope="module")
@@ -30,15 +32,21 @@ def traced_peak(fn, *args) -> int:
 # frame and one normalized copy of it, about 2x.  LP held its output, its
 # weights and their quotient, 3.75x (3.38x at order 8); filtering with
 # blended taps it holds its output, the coefficients and one block of taps,
-# 2.0x (1.8x).  ZFF held 6x with its four cumulative sums in np.longdouble;
-# three float64 integrate-and-detrend passes hold its output and the moving
-# average's two input-sized temporaries, 3x.
+# 2.0x (1.8x).  ZFF held 6x with its four cumulative sums in np.longdouble,
+# then 3x in float64 with the moving average's two input-sized temporaries;
+# subtracting the average in place, from one cumulative-sum buffer, it holds
+# its output and that buffer, 2x.  The flow held 4x with scipy's filtfilt
+# keeping its padded copy to the end and the average subtracted out of place,
+# 3x without either.  A whole hp call held 6x, and 5x since it drops its
+# rescaled input once the band exists and the band once the flow exists.
 @pytest.mark.parametrize("fn,args,bound", [
     (estimate_mean_pitch, (), 2.5),
     (lp_residual, (None,), 4.5),
     (lp_residual, (8,), 4.5),
-    (zff_filter, (120.0,), 3.5),
-], ids=["pitch", "lp-default-order", "lp-order-8", "zff"])
+    (zff_filter, (120.0,), 2.5),
+    (partial(glottal_flow_estimate, mean_pitch_hz=120.0), (), 3.5),
+    (detect_polarity_hp, (), 5.5),
+], ids=["pitch", "lp-default-order", "lp-order-8", "zff", "glottal-flow", "hp"])
 def test_peak_is_a_bounded_multiple_of_the_input(twenty_seconds, fn, args, bound):
     s = twenty_seconds
     peak = traced_peak(fn, s, *args)

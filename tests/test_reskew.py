@@ -11,7 +11,7 @@ from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec,
                             generate_utterance, levinson, lp_residual, reskew_statistic,
                             skewness)
 from speechpolarity import reskew
-from speechpolarity.reskew import _LAG_BLOCK_FRAMES, LP_FRAME_MS, LP_HOP_MS
+from speechpolarity.reskew import _TAP_BLOCK_VALUES, LP_FRAME_MS, LP_HOP_MS
 
 FS = 16000
 
@@ -323,7 +323,7 @@ class TestLpResidual:
         # grid frames plus the extra last frame
         frame = int(round(LP_FRAME_MS * fs / 1000.0))
         hop = int(round(LP_HOP_MS * fs / 1000.0))
-        b = _LAG_BLOCK_FRAMES
+        b = _TAP_BLOCK_VALUES // frame  # frames per block of lags
         x = generate_utterance(SynthSpec(pitch_hz=125.0, duration_s=(2 * b + 2) * LP_HOP_MS / 1e3
                                          + LP_FRAME_MS / 1e3, sample_rate_hz=fs,
                                          seed=24)).samples
@@ -337,14 +337,16 @@ class TestLpResidual:
     @pytest.mark.parametrize("fs", (16000, 44100, 48000))
     def test_lags_are_bit_identical_at_any_block_size(self, monkeypatch, fs):
         # 1.5 s is 296 frames (297 at 44.1 kHz, the last off the hop grid):
-        # blocks of 1 and 7 frames, the default 256 and one block of all frames.
+        # budgets of 1 and 7 frames, the default (327, 118 and 109 frames) and
+        # one block of all frames; a budget below one frame still copies one.
         # A row's BLAS dot product must not depend on its block or address.
         s = generate_utterance(SynthSpec(pitch_hz=115.0, duration_s=1.5, sample_rate_hz=fs,
                                          seed=27))
+        frame = int(round(LP_FRAME_MS * fs / 1000.0))
         for order in (None, 8):
             default = lp_residual(s, order).tobytes()
-            for block in (1, 7, _LAG_BLOCK_FRAMES, s.samples.size):
-                monkeypatch.setattr(reskew, "_LAG_BLOCK_FRAMES", block)
+            for values in (1, frame, 7 * frame, _TAP_BLOCK_VALUES, s.samples.size * frame):
+                monkeypatch.setattr(reskew, "_TAP_BLOCK_VALUES", values)
                 assert lp_residual(s, order).tobytes() == default
             monkeypatch.undo()
 
