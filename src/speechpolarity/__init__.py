@@ -18,15 +18,15 @@ from .reskew import (detect_polarity_reskew, glottal_flow_estimate, levinson, lp
                      reskew_statistic, skewness)
 from .synth import (NoiseSpec, SynthSpec, generate_utterance, generate_utterance_with_instants,
                     mix_noise)
-from .types import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
+from .types import (InvalidInputError, Polarity, PolarityDecision, Signal,
                     UndefinedStatisticError)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationResult", "CorpusManifest", "EpochList", "EvalReport", "InvalidInputError",
-    "ManifestEntry", "MethodTally", "NoiseSpec", "Polarity", "PolarityDecision", "Signal",
-    "SynthSpec", "TrialRecord", "UndefinedStatisticError", "analytic_signal", "calibrate",
+    "CalibrationResult", "CorpusManifest", "EvalReport", "InvalidInputError", "ManifestEntry",
+    "MethodTally", "NoiseSpec", "Polarity", "PolarityDecision", "Signal", "SynthSpec",
+    "TrialRecord", "UndefinedStatisticError", "analytic_signal", "calibrate",
     "cosine_phase", "detect_polarity_hp", "detect_polarity_reskew", "estimate_mean_pitch",
     "evaluate_corpus", "extract_epochs", "generate_utterance", "generate_utterance_with_instants",
     "glottal_flow_estimate", "hilbert_envelope", "hilbert_transform", "levinson", "load_wav",

@@ -1,4 +1,4 @@
-"""Array kernels: Hilbert transform, envelope, cosine phase, Butterworth filters, moving average.
+"""Array kernels: Hilbert transform, envelope, cosine phase, Butterworth filters, detrending.
 
 The Hilbert transform is the exact circular one over the whole signal (the
 discrete analytic signal of MATLAB's ``hilbert``): one real FFT pair at the
@@ -6,9 +6,9 @@ signal's own length, exact at every length.  The envelope is invariant
 under sample negation while the cosine phase changes sign; both facts are
 load-bearing for the polarity detectors built on top of this module.  The
 envelope is summed squares and a square root, not ``np.hypot``.
-Butterworth designs and their steady states are computed once per design;
-``zero_phase_butterworth`` is ``filtfilt`` with both.  The moving average
-and its in-place subtraction share one cumulative-sum buffer.
+Each Butterworth design and its steady state are computed once, in one
+cache; ``zero_phase_butterworth`` is ``filtfilt`` with both.  The centered
+moving average is subtracted in place, from one cumulative-sum buffer.
 Every kernel takes and returns plain ndarrays.
 """
 
@@ -107,9 +107,10 @@ def cosine_phase(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 @lru_cache
 def butterworth(order: int, sample_rate_hz: int, high_hz: float,
-                low_hz: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Butterworth (b, a), designed once per argument tuple: a low-pass at
-    ``high_hz``, or with ``low_hz`` a band-pass; the upper edge is capped at 0.95 Nyquist.
+                low_hz: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Butterworth (b, a) and steady state ``lfilter_zi(b, a)``, made once per
+    argument tuple: a low-pass at ``high_hz``, or with ``low_hz`` a band-pass; the upper
+    edge is capped at 0.95 Nyquist.
     """
     nyq = sample_rate_hz / 2.0
     high = min(high_hz, 0.95 * nyq) / nyq
@@ -117,29 +118,21 @@ def butterworth(order: int, sample_rate_hz: int, high_hz: float,
         b, a = butter(order, high, btype="low")
     else:
         b, a = butter(order, [low_hz / nyq, high], btype="band")
-    b.flags.writeable = a.flags.writeable = False
-    return b, a
-
-
-@lru_cache
-def _steady_state(order: int, sample_rate_hz: int, high_hz: float,
-                  low_hz: float | None = None) -> np.ndarray:
-    zi = lfilter_zi(*butterworth(order, sample_rate_hz, high_hz, low_hz))
-    zi.flags.writeable = False
-    return zi
+    zi = lfilter_zi(b, a)
+    b.flags.writeable = a.flags.writeable = zi.flags.writeable = False
+    return b, a, zi
 
 
 def zero_phase_butterworth(x: np.ndarray, order: int, sample_rate_hz: int, high_hz: float,
                            low_hz: float | None = None) -> np.ndarray:
-    """``filtfilt(*butterworth(order, sample_rate_hz, high_hz, low_hz), x)``, byte for byte.
+    """``filtfilt(b, a, x)`` with the (b, a) of ``butterworth`` for the same arguments, bitwise.
 
     The same odd extension by three filter lengths at each end, and the same
-    forward and backward ``lfilter`` passes from the step response's steady
-    state, which is computed once per design; the extended copy is freed
-    after the forward pass.  ``x`` must be longer than the extension.
+    forward and backward ``lfilter`` passes from the cached steady state;
+    the extended copy is freed after the forward pass.  ``x`` must be longer
+    than the extension.
     """
-    b, a = butterworth(order, sample_rate_hz, high_hz, low_hz)
-    zi = _steady_state(order, sample_rate_hz, high_hz, low_hz)
+    b, a, zi = butterworth(order, sample_rate_hz, high_hz, low_hz)
     edge = 3 * max(a.size, b.size)
     if x.size <= edge:
         raise InvalidInputError(f"zero-phase filtering needs more than {edge} samples, "
@@ -156,52 +149,33 @@ def odd_window(width_samples: int) -> int:
     return max(w + 1 if w % 2 == 0 else w, 3)
 
 
-def _window_means(x: np.ndarray, width_samples: int) -> tuple[int, np.ndarray, np.ndarray]:
-    # (h, edges, interior): the half window, the means of the h samples at
-    # each end (of every sample if the window is not shorter than x), and the
-    # whole-window means in a view of the one cumulative-sum buffer.
+def subtract_moving_average(y: np.ndarray, width_samples: int) -> np.ndarray:
+    """Subtract from ``y``, in place, its mean over a centered window; returns ``y``.
+
+    The window is ``odd_window(width_samples)``, w samples, truncated at the
+    signal boundaries: each of the h = w // 2 samples at either end (every
+    sample, if the window is not shorter than ``y``) loses the mean of the
+    part of its window in range.  All means come from one cumulative-sum
+    buffer of ``y``'s size plus one; the interior means, where the whole
+    window is in range, are one slice difference of it, divided in place.
+    """
     w = odd_window(width_samples)
-    n = x.size
+    n = y.size
     h = w // 2
-    csum = np.empty(n + 1, dtype=x.dtype)
-    csum[0] = x[0] * 0 if n else 0  # the sign of zero a prepended x[:1] * 0 would have
-    np.cumsum(x, out=csum[1:])
+    csum = np.empty(n + 1, dtype=y.dtype)
+    csum[0] = y[0] * 0 if n else 0  # the sign of zero a prepended y[:1] * 0 would have
+    np.cumsum(y, out=csum[1:])
     idx = np.arange(n) if n <= w else np.concatenate((np.arange(h), np.arange(n - h, n)))
     hi = np.minimum(idx + h + 1, n)
     lo = np.maximum(idx - h, 0)
     edges = (csum[hi] - csum[lo]) / (hi - lo)
-    interior = csum[:max(n - w + 1, 0)]
-    if n > w:  # csum[w + i] - csum[i] written over csum[i]: the reads run ahead of the writes
-        np.subtract(csum[w:], interior, out=interior)
-        interior /= w
-    return h, edges, interior
-
-
-def centered_moving_average(x: np.ndarray, width_samples: int) -> np.ndarray:
-    """Mean over a centered window, truncated at the signal boundaries.
-
-    The window is ``odd_window(width_samples)``.  Edge samples average over
-    whatever part of the window is in range, so the output has the same
-    length as the input.  The interior, where the whole window is in range,
-    is one slice difference of the cumulative sum, divided in place.
-    """
-    h, edges, interior = _window_means(x, width_samples)
-    if x.size <= 2 * h + 1:
-        return edges
-    return np.concatenate((edges[:h], interior, edges[h:]))
-
-
-def subtract_moving_average(y: np.ndarray, width_samples: int) -> np.ndarray:
-    """``y -= centered_moving_average(y, width_samples)`` bit for bit, in place; returns ``y``.
-
-    It holds one buffer of ``y``'s size, the cumulative sum, where the
-    moving average would hold two.
-    """
-    h, edges, interior = _window_means(y, width_samples)
-    n = y.size
-    if n <= 2 * h + 1:
+    if n <= w:
         y -= edges
         return y
+    # csum[w + i] - csum[i] written over csum[i]: the reads run ahead of the writes
+    interior = csum[:n - w + 1]
+    np.subtract(csum[w:], interior, out=interior)
+    interior /= w
     y[:h] -= edges[:h]
     y[h:n - h] -= interior
     y[n - h:] -= edges[h:]

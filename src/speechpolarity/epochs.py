@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import odd_window, subtract_moving_average
-from .types import EpochList, InvalidInputError, Signal
+from .types import InvalidInputError, Signal
 
 # Crossings this close to the signal boundary are discarded (FFT-edge zone
 # mirrored from the analytic-signal stage).
@@ -129,13 +129,14 @@ def zff_filter(s: Signal, mean_pitch_hz: float) -> Signal:
     return Signal(y, fs)
 
 
-def extract_epochs(y: Signal) -> EpochList:
+def extract_epochs(y: Signal) -> np.ndarray:
     """All zero crossings of a ZFF output, refined to the sample nearest zero.
 
     Crossings within 1 ms of an already accepted crossing, or within
     ``BOUNDARY_GUARD_SAMPLES`` of either boundary, are discarded.  Rising and
     falling crossings are both kept, which makes the result identical for
-    ``y`` and ``-y``.
+    ``y`` and ``-y``.  The result is the strictly ascending int64 array of
+    their sample indices, at the rate of ``y``.
     """
     v = y.samples
     fs = y.sample_rate_hz
@@ -157,4 +158,4 @@ def extract_epochs(y: Signal) -> EpochList:
         if accepted[i - 1]:
             last = before
         accepted[i] = here - last >= min_gap
-    return EpochList(inside[accepted].astype(np.int64), fs)
+    return inside[accepted].astype(np.int64)

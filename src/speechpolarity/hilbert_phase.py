@@ -58,8 +58,7 @@ from scipy.signal import resample_poly
 from .dsp import analytic_signal, cosine_phase, hilbert_envelope, zero_phase_butterworth
 from .epochs import estimate_mean_pitch, extract_epochs, zff_filter
 from .reskew import glottal_flow_estimate
-from .types import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
-                    detector_input)
+from .types import InvalidInputError, Polarity, PolarityDecision, Signal, detector_input
 
 # LP order for the band-limited detector path at HP_ANALYSIS_RATE_HZ or below:
 # enough poles for the formants inside the band plus its edges.  At high pitch
@@ -85,34 +84,36 @@ MIN_VOTES = 3  # fewer non-abstaining votes, or a tie, is indeterminate
 _PEAK_CHUNK_EPOCHS = 1024  # epoch windows gathered per argmax
 
 
-def select_he_peaks(envelope: np.ndarray, epochs: EpochList) -> np.ndarray:
+def select_he_peaks(envelope: np.ndarray, epochs: np.ndarray, sample_rate_hz: int) -> np.ndarray:
     """Envelope maxima near the anchor instants.
 
-    For each epoch the envelope argmax within +-``PEAK_SEARCH_MS`` is taken
-    (the first of equal maxima; the window is cut off at either end of the
-    envelope), kept only if it reaches ``PROMINENCE_FLOOR`` times the
-    global envelope maximum; duplicates collapse to one index and the
-    result is ascending.  The envelope is sampled at the epochs' rate;
-    epochs at or beyond its end are rejected.
+    ``epochs``, 1-D indices into ``envelope`` (``extract_epochs``' result)
+    both at ``sample_rate_hz``, are taken as int64; one outside
+    ``[0, envelope.size)`` is rejected.  For each epoch, in any order, the
+    envelope argmax within +-``PEAK_SEARCH_MS`` is taken (the first of equal
+    maxima; the window is cut off at either end of the envelope), kept only
+    if it reaches ``PROMINENCE_FLOOR`` times the global envelope maximum;
+    duplicates collapse to one index and the result is ascending.
 
     The windows are rows of a strided view of the envelope padded with
     ``-inf``, so the cut-off windows need no special case; they are
     gathered ``_PEAK_CHUNK_EPOCHS`` epochs at a time, which bounds the
     temporary copy.
     """
-    if len(epochs) == 0:
+    epochs = np.asarray(epochs, dtype=np.int64)
+    if epochs.size == 0:
         return np.empty(0, dtype=np.int64)
-    if epochs.indices[-1] >= envelope.size:
-        raise InvalidInputError(
-            f"epoch index {epochs.indices[-1]} beyond the envelope's {envelope.size} samples")
-    half = int(round(PEAK_SEARCH_MS * epochs.sample_rate_hz / 1000.0))
+    if epochs.ndim != 1 or epochs.min() < 0 or epochs.max() >= envelope.size:
+        raise InvalidInputError(f"epochs must be 1-D indices in [0, {envelope.size}), got "
+                                f"{epochs.min()}..{epochs.max()} in shape {epochs.shape}")
+    half = int(round(PEAK_SEARCH_MS * sample_rate_hz / 1000.0))
     floor = PROMINENCE_FLOOR * float(envelope.max())
     pad = np.full(half, -np.inf)
     windows = sliding_window_view(np.concatenate([pad, envelope, pad]), 2 * half + 1)
     # row e of the padded view is the window centred on envelope sample e
-    peaks = epochs.indices - half
+    peaks = epochs - half
     for c in range(0, peaks.size, _PEAK_CHUNK_EPOCHS):
-        chunk = epochs.indices[c:c + _PEAK_CHUNK_EPOCHS]
+        chunk = epochs[c:c + _PEAK_CHUNK_EPOCHS]
         peaks[c:c + _PEAK_CHUNK_EPOCHS] += np.argmax(windows[chunk], axis=1)
     return np.unique(peaks[envelope[peaks] >= floor])
 
@@ -152,7 +153,8 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
     del s, x  # the rescaled input; the caller's own stays alive
     pitch = estimate_mean_pitch(band)
     epochs = extract_epochs(zff_filter(band, pitch))
-    peaks = select_he_peaks(hilbert_envelope(analytic_signal(np.gradient(band.samples))), epochs)
+    peaks = select_he_peaks(hilbert_envelope(analytic_signal(np.gradient(band.samples))), epochs,
+                            fs)
 
     positive = negative = 0
     if peaks.size:

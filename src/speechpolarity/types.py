@@ -1,4 +1,4 @@
-"""Shared domain types: signals, epoch lists, and polarity decisions."""
+"""Shared domain types: signals, polarity decisions, and the package's errors."""
 
 from __future__ import annotations
 
@@ -87,26 +87,6 @@ def detector_input(s: Signal) -> Signal:
     if exponent == 0:
         return s
     return Signal(np.ldexp(s.samples, -exponent), s.sample_rate_hz)
-
-
-@dataclass(frozen=True)
-class EpochList:
-    """Strictly ascending sample indices of excitation anchor instants."""
-
-    indices: np.ndarray
-    sample_rate_hz: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.indices, dtype=np.int64)
-        if arr.ndim != 1:
-            raise InvalidInputError("epoch indices must be one-dimensional")
-        if arr.size and (np.any(np.diff(arr) <= 0) or int(arr[0]) < 0):
-            raise InvalidInputError("epoch indices must be non-negative and strictly ascending")
-        object.__setattr__(self, "indices", arr)
-        object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
-
-    def __len__(self) -> int:
-        return self.indices.size
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len, prev_fast_len
-from scipy.signal import butter, resample_poly
+from scipy.signal import butter, lfilter_zi, resample_poly
 
-from speechpolarity import (EpochList, InvalidInputError, Polarity, PolarityDecision, Signal,
-                            SynthSpec, analytic_signal, detect_polarity_hp,
+from speechpolarity import (InvalidInputError, Polarity, PolarityDecision, Signal, SynthSpec,
+                            analytic_signal, detect_polarity_hp,
                             detect_polarity_reskew, dsp, estimate_mean_pitch,
                             extract_epochs, generate_utterance, generate_utterance_with_instants,
                             glottal_flow_estimate, hilbert_envelope, hilbert_phase, reskew,
@@ -33,7 +33,7 @@ class TestSelectHePeaks:
         s, instants = generate_utterance_with_instants(spec)
         env = hilbert_envelope(analytic_signal(s.samples))
         epochs = extract_epochs(zff_filter(s, estimate_mean_pitch(s)))
-        peaks = select_he_peaks(env, epochs)
+        peaks = select_he_peaks(env, epochs, FS)
         assert peaks.size > 50
         tol = int(0.001 * FS)
         for p in peaks:
@@ -45,17 +45,15 @@ class TestSelectHePeaks:
         env_n = hilbert_envelope(analytic_signal(-s.samples))
         e_p = extract_epochs(zff_filter(s, estimate_mean_pitch(s)))
         e_n = extract_epochs(zff_filter(s.negated(), estimate_mean_pitch(s.negated())))
-        assert np.array_equal(select_he_peaks(env_p, e_p), select_he_peaks(env_n, e_n))
+        assert np.array_equal(select_he_peaks(env_p, e_p, FS), select_he_peaks(env_n, e_n, FS))
 
     def test_empty_epochs_give_empty(self):
-        epochs = EpochList(np.empty(0, dtype=np.int64), FS)
-        assert select_he_peaks(np.ones(1000), epochs).size == 0
+        assert select_he_peaks(np.ones(1000), np.empty(0, dtype=np.int64), FS).size == 0
 
     def test_prominence_floor_suppresses_quiet_peaks(self):
         values = np.full(4000, 0.01)
         values[1000] = 1.0  # single loud peak; the rest sit below the floor
-        epochs = EpochList(np.array([1000, 3000]), FS)
-        peaks = select_he_peaks(values, epochs)
+        peaks = select_he_peaks(values, np.array([1000, 3000]), FS)
         assert peaks.tolist() == [1000]
 
 
@@ -270,12 +268,12 @@ class TestFastLengthPrefix:
             detect_polarity_hp(Signal(x[:prev_fast_len(n)], rate))
 
 
-def reference_select_he_peaks(values: np.ndarray, epochs: EpochList) -> np.ndarray:
+def reference_select_he_peaks(values: np.ndarray, epochs, fs: int) -> np.ndarray:
     """One argmax per epoch over its window, cut off at the envelope's ends."""
-    half = int(round(PEAK_SEARCH_MS * epochs.sample_rate_hz / 1000.0))
+    half = int(round(PEAK_SEARCH_MS * fs / 1000.0))
     floor = PROMINENCE_FLOOR * float(values.max())
     picked = set()
-    for e in epochs.indices:
+    for e in epochs:
         lo = max(0, int(e) - half)
         hi = min(values.size, int(e) + half + 1)
         k = lo + int(np.argmax(values[lo:hi]))
@@ -299,22 +297,25 @@ class TestSelectHePeaksMatchesLoop:
         n = 20 * half
         near_ends = [0, 1, half - 1, half, half + 1, n - half - 1, n - half, n - half + 1, n - 2,
                      n - 1]
+        shuffled = np.random.default_rng(fs + 1).permutation(near_ends * 2)  # with repeats
         for values in self.envelopes(n, rng):
-            for indices in (near_ends, np.sort(rng.choice(n, 40, replace=False)), np.arange(n)):
-                epochs = EpochList(np.unique(indices), fs)
-                got = select_he_peaks(values, epochs)
+            for indices in (near_ends, np.sort(rng.choice(n, 40, replace=False)), np.arange(n),
+                            shuffled):
+                got = select_he_peaks(values, indices, fs)
                 assert got.dtype == np.int64
-                assert np.array_equal(got, reference_select_he_peaks(values, epochs))
+                assert np.array_equal(got, select_he_peaks(values, np.unique(indices), fs))
+                assert np.array_equal(got, reference_select_he_peaks(values, indices, fs))
 
     def test_epochs_beyond_the_envelope_rejected(self):
-        # both [n, n + half), where a window would be cut short, and n + half on, where it is empty
+        # both [n, n + half), where a window would be cut short, and n + half on, where it is
+        # empty; and negative indices, which the strided view would wrap to the envelope's end
         half = int(round(PEAK_SEARCH_MS * FS / 1000.0))
         n = 1000
         env = np.ones(n)
-        for offset in (0, 1, half - 1, half, half + 5):
+        for bad in (n, n + 1, n + half - 1, n + half, n + half + 5, -1, -half, -n):
             with pytest.raises(InvalidInputError):
-                select_he_peaks(env, EpochList(np.array([10, n + offset]), FS))
-        assert select_he_peaks(env, EpochList(np.array([10, n - 1]), FS)).size > 0
+                select_he_peaks(env, np.array([10, bad]), FS)
+        assert select_he_peaks(env, np.array([0, 10, n - 1]), FS).size > 0
 
 
 class TestBatchedPhaseReads:
@@ -360,8 +361,9 @@ class TestFilterDesignCache:
                  butter(4, min(reskew.RESIDUAL_SMOOTH_HZ, 0.95 * nyq) / nyq, btype="low"))
         cached_designs = (butterworth(2, fs, BAND_HIGH_HZ, BAND_LOW_HZ),
                           butterworth(4, fs, reskew.RESIDUAL_SMOOTH_HZ))
-        for cached, expected in zip(cached_designs, fresh):
-            for got, want in zip(cached, expected):
+        for cached, (b, a) in zip(cached_designs, fresh):
+            assert len(cached) == 3
+            for got, want in zip(cached, (b, a, lfilter_zi(b, a))):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
                 with pytest.raises(ValueError):
                     got[0] = 1.0

@@ -1,10 +1,9 @@
-"""The centered moving average against its all-fancy-indexed formula, and its in-place
-subtraction against subtracting it."""
+"""The in-place moving-average subtraction against subtracting the all-fancy-indexed formula."""
 
 import numpy as np
 import pytest
 
-from speechpolarity.dsp import centered_moving_average, odd_window, subtract_moving_average
+from speechpolarity.dsp import odd_window, subtract_moving_average
 
 
 def reference_moving_average(x, width_samples):
@@ -32,23 +31,26 @@ def same_bits(got, want):
     return got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-def test_matches_fancy_indexed_formula_bitwise(dtype):
-    rng = np.random.default_rng(17)
-    for n in range(1, 41):
-        x = rng.standard_normal(n).astype(dtype)
-        for w in range(0, n + 2):
-            assert same_bits(centered_moving_average(x, w), reference_moving_average(x, w)), (n, w)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-@pytest.mark.parametrize("width", [0, 2, 3, 8, 9, 401])
-def test_subtraction_in_place_equals_subtracting_the_average(dtype, width):
+def subtraction_inputs(width):
+    """(y, width) pairs: for "every", every n in 1..40 against every width in 0..n + 1."""
+    if width == "every":
+        rng = np.random.default_rng(17)
+        for n in range(1, 41):
+            y = rng.standard_normal(n)
+            yield from ((y, w) for w in range(n + 2))
+        return
     # n < w, n = w, n = w + 1 for the odd window w, every short n, and a long n
     w = odd_window(width)
     rng = np.random.default_rng(width)
     for n in sorted({w - 1, w, w + 1, 20_011, *range(1, 41)}):
-        y = rng.standard_normal(n).cumsum().astype(dtype)
-        want = y - centered_moving_average(y, width)
-        got = subtract_moving_average(y, width)
-        assert got is y and same_bits(got, want), n
+        yield rng.standard_normal(n).cumsum(), width
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("width", [0, 2, 3, 8, 9, 401, "every"])
+def test_subtraction_in_place_equals_subtracting_the_average(dtype, width):
+    for x, w in subtraction_inputs(width):
+        y = x.astype(dtype)  # a copy, which the subtraction overwrites
+        want = y - reference_moving_average(y, w)
+        got = subtract_moving_average(y, w)
+        assert got is y and same_bits(got, want), (x.size, w)
