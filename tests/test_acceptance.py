@@ -6,8 +6,11 @@ the accuracy and noise criteria is 400 utterances: 10 pitches spanning
 80-300 Hz x 5 formant configurations x jitter 0-3% x both polarities.
 """
 
+import importlib.util
+import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from speechpolarity import (NoiseSpec, Polarity, Signal, SynthSpec,
                             zff_filter)
 
 FS = 16000
+ROOT = Path(__file__).resolve().parents[1]
+A5_RECORDS = ROOT / "tests" / "data" / "decisions_a5.jsonl"
 
 PITCHES = (80.0, 95.0, 110.0, 130.0, 150.0, 175.0, 200.0, 230.0, 265.0, 300.0)
 FORMANT_SETS = (
@@ -199,13 +204,12 @@ class TestA4ZffSanity:
 
 @pytest.fixture(scope="module")
 def clean_decisions():
-    """400 clean utterances evaluated by both methods (shared by A5)."""
+    """400 clean utterances decided by both methods (shared by A5 and its records)."""
     start = time.time()
     results = []
     for spec in evaluation_specs():
         s = generate_utterance(spec)
-        results.append((spec, detect_polarity_hp(s).polarity,
-                        detect_polarity_reskew(s).polarity))
+        results.append((spec, detect_polarity_hp(s), detect_polarity_reskew(s)))
     return results, time.time() - start
 
 
@@ -213,9 +217,9 @@ class TestA5SyntheticAccuracy:
     def test_a5(self, clean_decisions):
         results, elapsed = clean_decisions
         n = len(results)
-        hp_ok = sum(1 for spec, hp, _ in results if hp is spec.polarity)
-        rk_ok = sum(1 for spec, _, rk in results if rk is spec.polarity)
-        agree = sum(1 for _, hp, rk in results if hp is rk)
+        hp_ok = sum(1 for spec, hp, _ in results if hp.polarity is spec.polarity)
+        rk_ok = sum(1 for spec, _, rk in results if rk.polarity is spec.polarity)
+        agree = sum(1 for _, hp, rk in results if hp.polarity is rk.polarity)
         hp_pct = 100.0 * hp_ok / n
         rk_pct = 100.0 * rk_ok / n
         agree_pct = 100.0 * agree / n
@@ -228,6 +232,43 @@ class TestA5SyntheticAccuracy:
         assert rk_pct >= 98.0
         assert agree_pct >= 98.0
         assert elapsed < 120.0
+
+
+def _decision_records_tool():
+    spec = importlib.util.spec_from_file_location("decision_records",
+                                                  ROOT / "tools" / "decision_records.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestA5DecisionRecords:
+    """A5's decisions are the committed records of ``tools/decision_records.py --a5``.
+
+    Polarity, votes and ``anchors_used`` must match exactly; reskew's
+    statistic within a relative 1e-9, since its LP lags are BLAS dot products
+    whose last bits may differ between platforms.
+    """
+
+    def test_a5_records(self, clean_decisions):
+        record = _decision_records_tool().decision_record
+        results, _ = clean_decisions
+        built = [record(f"a5/{i}", "given", method, d) for i, (_, hp, rk) in enumerate(results)
+                 for method, d in (("hp", hp), ("reskew", rk))]
+        with open(A5_RECORDS, encoding="utf-8") as f:
+            golden = [json.loads(line) for line in f if line.strip()]
+        mismatches = []
+        for want, got in zip(golden, built):
+            want, got = dict(want), dict(got)
+            w, g = want.pop("statistic", None), got.pop("statistic", None)
+            same = want == got and (w == g or None not in (w, g) and "None" not in (w, g)
+                                    and float(g) == pytest.approx(float(w), rel=1e-9, abs=0.0))
+            if not same:
+                mismatches.append(f"{want['input']} {want['method']}: {want} {w} -> {got} {g}")
+        _report("A5 decision records", not mismatches and len(golden) == len(built),
+                f"{len(built)} records, {len(mismatches)} differ from {A5_RECORDS.name}")
+        assert len(golden) == len(built) == 800
+        assert not mismatches, "\n".join(mismatches[:10])
 
 
 class TestA6NoiseRobustness:

@@ -4,6 +4,7 @@ Run from the root of a checkout, so that its own ``src/`` is imported:
 
     python3 tools/decision_records.py > change.jsonl
     python3 tools/decision_records.py --long-file 201,211 > change.jsonl
+    python3 tools/decision_records.py --a5 > tests/data/decisions_a5.jsonl
     python3 tools/decision_records.py --diff parent.jsonl change.jsonl
 
 The inputs are the 400 A5 utterances of ``tests/test_acceptance.py`` and the
@@ -12,7 +13,12 @@ and the long-file recordings of any ``--long-file`` seeds.
 Each input is decided as given and negated, by each method.  One JSON
 record per line holds the input, orientation and method, and for ``hp``
 the polarity, votes and ``anchors_used``, for ``reskew`` the polarity and
-``repr(statistic)``.
+``repr(statistic)``; a decision that gives a reason for abstaining adds it
+as ``reason``.
+
+``--a5`` writes only the A5 utterances as given, 800 records: the golden
+file ``tests/data/decisions_a5.jsonl``, which Tier-1 compares with the
+decisions of its A5 test.
 
 ``--diff A B`` lists the records that differ or that only one file has,
 with the relative change of a differing statistic.  It exits 1 if any
@@ -36,14 +42,16 @@ def _seeds(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
-def _inputs(long_seeds: list[int]):
+def _inputs(long_seeds: list[int], a5_only: bool):
     """(name, signal) for every input, A5 first."""
-    import workloads
     from speechpolarity import generate_utterance
     from test_acceptance import evaluation_specs
 
     for i, spec in enumerate(evaluation_specs()):
         yield f"a5/{i}", generate_utterance(spec)
+    if a5_only:
+        return
+    import workloads
     for kind, build, chosen in (("detect-short", workloads.detect_short, SHORT_SEEDS),
                                 ("long-file", workloads.long_file, long_seeds)):
         for seed in chosen:
@@ -52,28 +60,39 @@ def _inputs(long_seeds: list[int]):
                     yield f"{kind}/{seed}/{op.label}", op.signal
 
 
-def _record(name: str, orientation: str, method: str, decide, signal) -> dict:
+def decision_record(name: str, orientation: str, method: str, d) -> dict:
+    """The record of decision ``d``, or of the exception a detector raised instead."""
     rec = {"input": name, "orientation": orientation, "method": method}
-    try:
-        d = decide(signal)
-    except Exception as exc:  # a raised error is a decision too
-        rec["error"] = type(exc).__name__
+    if isinstance(d, Exception):
+        rec["error"] = type(d).__name__
         return rec
     rec["polarity"] = d.polarity.value
     if method == "hp":
         rec.update({k: getattr(d, k) for k in VOTES})
     else:
         rec["statistic"] = repr(d.statistic)
+    if getattr(d, "reason", None):
+        rec["reason"] = d.reason
     return rec
 
 
-def write_records(long_seeds: list[int], out) -> None:
+def _record(name: str, orientation: str, method: str, decide, signal) -> dict:
+    try:
+        d = decide(signal)
+    except Exception as exc:  # a raised error is a decision too
+        d = exc
+    return decision_record(name, orientation, method, d)
+
+
+def write_records(long_seeds: list[int], out, a5_only: bool = False) -> None:
     root = Path.cwd()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench"), str(root / "tests")]
     from speechpolarity import detect_polarity_hp, detect_polarity_reskew
     methods = (("hp", detect_polarity_hp), ("reskew", detect_polarity_reskew))
-    for name, signal in _inputs(long_seeds):
-        for orientation, s in (("given", signal), ("negated", signal.negated())):
+    for name, signal in _inputs(long_seeds, a5_only):
+        orientations = (("given", signal),) if a5_only else (("given", signal),
+                                                              ("negated", signal.negated()))
+        for orientation, s in orientations:
             for method, decide in methods:
                 out.write(json.dumps(_record(name, orientation, method, decide, s)) + "\n")
 
@@ -115,12 +134,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--long-file", type=_seeds, default=[], metavar="SEEDS",
                         help="long-file seeds to add (default none)")
+    parser.add_argument("--a5", action="store_true",
+                        help="write only the A5 utterances as given (the golden file)")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
                         help="compare two record files instead of writing records")
     args = parser.parse_args(argv)
     if args.diff:
         return diff(*args.diff)
-    write_records(args.long_file, sys.stdout)
+    if args.a5 and args.long_file:
+        parser.error("--a5 takes no --long-file seeds")
+    write_records(args.long_file, sys.stdout, args.a5)
     return 0
 
 
