@@ -11,6 +11,7 @@ harness round out the package.
 from .calibrate import CalibrationResult, calibrate
 from .dsp import analytic_signal, cosine_phase, hilbert_envelope, hilbert_transform
 from .epochs import estimate_mean_pitch, extract_epochs, zff_filter
+from .frontend import FrontEnd, front_end
 from .harness import (CorpusManifest, EvalReport, ManifestEntry, MethodTally, TrialRecord,
                       evaluate_corpus, load_wav, parse_manifest, render_report, save_wav)
 from .hilbert_phase import detect_polarity_hp, select_he_peaks
@@ -24,12 +25,12 @@ from .types import (InvalidInputError, Polarity, PolarityDecision, Signal,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationResult", "CorpusManifest", "EvalReport", "InvalidInputError", "ManifestEntry",
-    "MethodTally", "NoiseSpec", "Polarity", "PolarityDecision", "Signal", "SynthSpec",
-    "TrialRecord", "UndefinedStatisticError", "analytic_signal", "calibrate",
+    "CalibrationResult", "CorpusManifest", "EvalReport", "FrontEnd", "InvalidInputError",
+    "ManifestEntry", "MethodTally", "NoiseSpec", "Polarity", "PolarityDecision", "Signal",
+    "SynthSpec", "TrialRecord", "UndefinedStatisticError", "analytic_signal", "calibrate",
     "cosine_phase", "detect_polarity_hp", "detect_polarity_reskew", "estimate_mean_pitch",
-    "evaluate_corpus", "extract_epochs", "generate_utterance", "generate_utterance_with_instants",
-    "glottal_flow_estimate", "hilbert_envelope", "hilbert_transform", "levinson", "load_wav",
-    "lp_residual", "mix_noise", "parse_manifest", "render_report", "reskew_statistic", "save_wav",
-    "select_he_peaks", "skewness", "zff_filter",
+    "evaluate_corpus", "extract_epochs", "front_end", "generate_utterance",
+    "generate_utterance_with_instants", "glottal_flow_estimate", "hilbert_envelope",
+    "hilbert_transform", "levinson", "load_wav", "lp_residual", "mix_noise", "parse_manifest",
+    "render_report", "reskew_statistic", "save_wav", "select_he_peaks", "skewness", "zff_filter",
 ]

@@ -32,13 +32,35 @@ ZFF_TREND_PASSES = 3
 _PITCH_BLOCK_FRAMES = 128  # pitch frames transformed per FFT call
 
 
-def estimate_mean_pitch(s: Signal) -> float:
+class PitchEstimate(float):
+    """A mean pitch in Hz, as a float, with the number of voiced frames it was taken from.
+
+    A float, so a caller that wants only the frequency uses it as one.
+    """
+
+    __slots__ = ("voiced_frames",)
+
+    def __new__(cls, hz: float, voiced_frames: int):
+        estimate = super().__new__(cls, hz)
+        estimate.voiced_frames = voiced_frames
+        return estimate
+
+    @property
+    def voiced(self) -> bool:
+        """At least ``PITCH_MIN_VOICED_FRAMES`` frames were voiced, so the pitch is measured."""
+        return self.voiced_frames >= PITCH_MIN_VOICED_FRAMES
+
+
+def estimate_mean_pitch(s: Signal) -> PitchEstimate:
     """Mean fundamental frequency from normalized autocorrelation of 40 ms frames.
 
     The peak lag is searched between 2.5 and 20 ms (50-400 Hz); a frame
     counts as voiced when its normalized autocorrelation peak reaches 0.5.
-    Returns ``PITCH_FALLBACK_HZ`` when fewer than 5 frames are voiced or
-    the signal is shorter than 100 ms.
+    The result carries the voiced-frame count of the same frame pass.  It
+    is ``PITCH_FALLBACK_HZ`` when fewer than 5 frames are voiced, which
+    includes every signal shorter than 120 ms (5 frames at a 20 ms hop);
+    the count is 0 for a signal shorter than 100 ms, or one sampled too
+    coarsely for the lag range.
     The frame autocorrelations are computed ``_PITCH_BLOCK_FRAMES`` frames
     at a time, each block's frame copies and spectra freed before the next,
     and only lags 0 to 20 ms + 1 sample are kept: one array about the
@@ -55,7 +77,7 @@ def estimate_mean_pitch(s: Signal) -> float:
     lag_lo = int(round(PITCH_LAG_MIN_MS * fs / 1000.0))
     lag_hi = int(round(PITCH_LAG_MAX_MS * fs / 1000.0))
     if x.size < int(0.1 * fs) or lag_hi + 1 >= frame or lag_lo < 1:  # refinement reads lag_hi + 1
-        return PITCH_FALLBACK_HZ
+        return PitchEstimate(PITCH_FALLBACK_HZ, 0)
 
     # A power-of-two scale to a peak in [0.5, 1) is exact, and keeps the
     # autocorrelation of very loud or very quiet input from overflowing or underflowing.
@@ -89,8 +111,8 @@ def estimate_mean_pitch(s: Signal) -> float:
     lag = np.where((denom < 0) & (np.abs(delta) < 1.0), j + delta, j)
     pitches = fs / lag
     if pitches.size < PITCH_MIN_VOICED_FRAMES:
-        return PITCH_FALLBACK_HZ
-    return float(np.mean(pitches))
+        return PitchEstimate(PITCH_FALLBACK_HZ, pitches.size)
+    return PitchEstimate(np.mean(pitches), pitches.size)
 
 
 def zff_filter(s: Signal, mean_pitch_hz: float) -> Signal:

@@ -1,6 +1,8 @@
 """Polarity detection from analytic-signal phase at Hilbert-envelope peaks.
 
-Per utterance: every zero crossing of the zero-frequency-filtered band,
+The detector starts from ``frontend.front_end``: the 60-1600 Hz band of the
+rescaled input and the band's mean pitch.  Unvoiced input abstains there,
+before any stage below runs.  Per utterance: every zero crossing of the zero-frequency-filtered band,
 rising and falling alike, is an anchor, so the anchors of a signal and its
 negation are the same.  For each anchor the argmax of the Hilbert envelope
 of the differentiated band within +-``PEAK_SEARCH_MS`` is kept if it clears
@@ -25,40 +27,34 @@ which then keeps only a narrow trough at closure followed by a harmonic
 bump 0.15-0.3 periods later.  A window centred on the peak, or one reaching
 past that bump, reads the two halves of the cycle against each other.
 
-Every stage runs at no more than ``HP_ANALYSIS_RATE_HZ`` (16 kHz): input
-sampled faster is resampled once, polyphase, before the band-pass, since
-neither the anchors nor the 60-1600 Hz band need more, and the order-8 LP
-that suffices for that band at 16 kHz gives confidently wrong flows at
-32-48 kHz.  Input at or below 16 kHz is analysed at its own rate.
-
-Only the longest prefix whose length is 11-smooth (``prev_fast_len``: no
-prime factor above 11) is analysed, so both Hilbert transforms are one FFT
-pair at a fast length.  The trim drops at most 2.0% of the samples from
-1,600 (100 ms at 16 kHz) to 20,000, 1.0% up to 400,000 and 0.6% up to
-10^6 (5.9% at the shortest input, 100 ms at 1 kHz); the ZFF already zeroes
+Every stage runs at no more than ``HP_ANALYSIS_RATE_HZ`` (16 kHz), the
+front end's band rate: neither the anchors nor the 60-1600 Hz band need
+more, and the order-8 LP that suffices for that band at 16 kHz gives
+confidently wrong flows at 32-48 kHz.  The band is the longest prefix
+whose length is 11-smooth, so both Hilbert transforms are one FFT pair at
+a fast length; the trim drops at most 2.0% of the samples from 1,600
+(100 ms at 16 kHz) to 20,000, 1.0% up to 400,000 and 0.6% up to 10^6
+(5.9% at the shortest input, 100 ms at 1 kHz), and the ZFF already zeroes
 two trend windows at each end.
 
-The method is one fixed pipeline with nothing settable: the analysis rate,
-the band edges, the peak search, the span and the abstention level of the
-phase read, and the vote count below which the detector abstains are module
-constants (``HP_ANALYSIS_RATE_HZ``, ``BAND_LOW_HZ``, ``BAND_HIGH_HZ``,
-``PEAK_SEARCH_MS``, ``PROMINENCE_FLOOR``, ``PHASE_SPAN_PERIODS``,
-``MIN_PHASE_MAGNITUDE``, ``MIN_VOTES``).
+The method is one fixed pipeline with nothing settable: the analysis rate
+and the band edges (``frontend``'s ``HP_ANALYSIS_RATE_HZ``, ``BAND_LOW_HZ``
+and ``BAND_HIGH_HZ``), the peak search, the span and the abstention level
+of the phase read, and the vote count below which the detector abstains
+are module constants (``PEAK_SEARCH_MS``, ``PROMINENCE_FLOOR``,
+``PHASE_SPAN_PERIODS``, ``MIN_PHASE_MAGNITUDE``, ``MIN_VOTES``).
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import prev_fast_len
-from scipy.signal import resample_poly
 
-from .dsp import analytic_signal, cosine_phase, hilbert_envelope, zero_phase_butterworth
-from .epochs import estimate_mean_pitch, extract_epochs, zff_filter
+from .dsp import analytic_signal, cosine_phase, hilbert_envelope
+from .epochs import extract_epochs, zff_filter
+from .frontend import UNVOICED, front_end
 from .reskew import glottal_flow_estimate
-from .types import InvalidInputError, Polarity, PolarityDecision, Signal, detector_input
+from .types import InvalidInputError, Polarity, PolarityDecision, Signal
 
 # LP order for the band-limited detector path at HP_ANALYSIS_RATE_HZ or below:
 # enough poles for the formants inside the band plus its edges.  At high pitch
@@ -67,15 +63,9 @@ from .types import InvalidInputError, Polarity, PolarityDecision, Signal, detect
 # closure peak is what keeps the votes right when that happens.
 HP_RESIDUAL_ORDER = 8
 
-# Highest rate the stages run at; faster input is resampled to it once.
-HP_ANALYSIS_RATE_HZ = 16000
-
 # Calibrated on the synthetic oracle: a negative vote majority => positive polarity.
 VOTE_SIGN_FOR_POSITIVE = -1
 
-# Front-end pass band; the upper edge is capped at 0.95 Nyquist.
-BAND_LOW_HZ = 60.0
-BAND_HIGH_HZ = 1600.0
 PEAK_SEARCH_MS = 10.0  # half-width of the peak search around each anchor
 PROMINENCE_FLOOR = 0.05  # of the global envelope maximum
 PHASE_SPAN_PERIODS = 0.125  # length of the phase read after each peak
@@ -136,22 +126,16 @@ def _phase_reads(phase: np.ndarray, sample_rate_hz: int, peaks: np.ndarray,
 def detect_polarity_hp(s: Signal) -> PolarityDecision:
     """Vote-based polarity decision; see the module docstring for the pipeline.
 
-    With fewer than ``MIN_VOTES`` non-abstaining votes, or a tie, the
-    decision is indeterminate; otherwise the vote majority maps onto a
-    polarity through ``VOTE_SIGN_FOR_POSITIVE`` (see ``calibrate``).
+    Unvoiced input (see ``frontend``) is ``UNVOICED``.  With fewer than
+    ``MIN_VOTES`` non-abstaining votes, or a tie, the decision is
+    indeterminate; otherwise the vote majority maps onto a polarity through
+    ``VOTE_SIGN_FOR_POSITIVE`` (see ``calibrate``).
     """
-    s = detector_input(s)
-    if s.sample_rate_hz > HP_ANALYSIS_RATE_HZ:
-        g = gcd(HP_ANALYSIS_RATE_HZ, s.sample_rate_hz)
-        up, down = HP_ANALYSIS_RATE_HZ // g, s.sample_rate_hz // g
-        s = Signal(resample_poly(s.samples, up, down), HP_ANALYSIS_RATE_HZ)
-    fs = s.sample_rate_hz
-    x = s.samples[:prev_fast_len(s.samples.size)]  # both Hilbert transforms at a fast length
-
-    # detector_input requires fs >= 1 kHz, so the upper band edge is at least 475 Hz
-    band = Signal(zero_phase_butterworth(x, 2, fs, BAND_HIGH_HZ, BAND_LOW_HZ), fs)
-    del s, x  # the rescaled input; the caller's own stays alive
-    pitch = estimate_mean_pitch(band)
+    rescaled, band, pitch = front_end(s)
+    del rescaled  # the caller's own input stays alive
+    if not pitch.voiced:
+        return UNVOICED
+    fs = band.sample_rate_hz
     epochs = extract_epochs(zff_filter(band, pitch))
     peaks = select_he_peaks(hilbert_envelope(analytic_signal(np.gradient(band.samples))), epochs,
                             fs)

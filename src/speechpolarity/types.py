@@ -95,7 +95,8 @@ class PolarityDecision:
 
     The vote counters are filled by the phase-vote detector; the skewness
     baseline reports its scalar statistic instead and leaves the counters
-    at zero.
+    at zero.  ``reason`` says why a detector abstained before gathering
+    evidence: "unvoiced" when the input has too few voiced frames.
     """
 
     polarity: Polarity
@@ -103,6 +104,7 @@ class PolarityDecision:
     negative_votes: int = 0
     anchors_used: int = 0
     statistic: float | None = None
+    reason: str | None = None
 
     def __post_init__(self):
         if self.positive_votes < 0 or self.negative_votes < 0 or self.anchors_used < 0:
@@ -111,6 +113,8 @@ class PolarityDecision:
             raise InvalidInputError("vote counts cannot exceed the number of anchors")
 
     def evidence(self) -> str:
+        if self.reason is not None:
+            return self.reason
         if self.statistic is not None:
             return f"statistic={self.statistic:+.6g}"
         return (f"votes +{self.positive_votes}/-{self.negative_votes}"

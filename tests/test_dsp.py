@@ -13,7 +13,7 @@ from scipy.signal import filtfilt
 from speechpolarity import (InvalidInputError, Signal, SynthSpec, analytic_signal, cosine_phase,
                             generate_utterance, hilbert_envelope, hilbert_transform)
 from speechpolarity.dsp import butterworth, zero_phase_butterworth
-from speechpolarity.hilbert_phase import BAND_HIGH_HZ, BAND_LOW_HZ
+from speechpolarity.frontend import BAND_HIGH_HZ, BAND_LOW_HZ
 from speechpolarity.reskew import RESIDUAL_SMOOTH_HZ
 
 FS = 16000

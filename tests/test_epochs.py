@@ -13,7 +13,7 @@ from speechpolarity.dsp import butterworth, subtract_moving_average
 from speechpolarity.epochs import (_PITCH_BLOCK_FRAMES, BOUNDARY_GUARD_SAMPLES,
                                    PITCH_FALLBACK_HZ, PITCH_FRAME_MS,
                                    PITCH_HOP_MS, ZFF_TREND_PASSES)
-from speechpolarity.hilbert_phase import BAND_HIGH_HZ, BAND_LOW_HZ
+from speechpolarity.frontend import BAND_HIGH_HZ, BAND_LOW_HZ
 from test_acceptance import evaluation_specs
 
 FS = 16000

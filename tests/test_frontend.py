@@ -1,0 +1,85 @@
+"""The shared front end: one band pitch with its voiced-frame count, and the unvoiced abstention."""
+
+import numpy as np
+import pytest
+from scipy.fft import prev_fast_len
+
+from speechpolarity import (FrontEnd, Polarity, Signal, SynthSpec, detect_polarity_hp,
+                            detect_polarity_reskew, estimate_mean_pitch, front_end,
+                            generate_utterance, hilbert_phase, reskew)
+from speechpolarity.epochs import PITCH_FALLBACK_HZ, PITCH_MIN_VOICED_FRAMES
+from speechpolarity.frontend import HP_ANALYSIS_RATE_HZ, UNVOICED
+from speechpolarity.synth import _pink_noise, _white_noise
+
+DETECTORS = (detect_polarity_hp, detect_polarity_reskew)
+RATES = (8000, 16000, 48000)
+
+
+def noise(kind: str, fs: int, seed: int) -> Signal:
+    make = _white_noise if kind == "white" else _pink_noise
+    return Signal(make(fs, np.random.default_rng(seed)), fs)
+
+
+class TestFrontEnd:
+    @pytest.mark.parametrize("fs", (8000, 16000, 22050, 48000))
+    def test_band_rate_length_and_pitch(self, fs):
+        s = generate_utterance(SynthSpec(pitch_hz=150.0, sample_rate_hz=fs, seed=40))
+        fe = front_end(s)
+        assert isinstance(fe, FrontEnd)
+        assert fe.signal.sample_rate_hz == fs and fe.signal.samples.size == s.samples.size
+        rate = min(fs, HP_ANALYSIS_RATE_HZ)
+        assert fe.band.sample_rate_hz == rate
+        assert fe.band.samples.size == prev_fast_len(fe.band.samples.size)
+        assert fe.band.samples.size >= 0.98 * rate
+        assert fe.pitch_hz.voiced and abs(fe.pitch_hz - 150.0) < 3.0
+        assert repr(fe.pitch_hz) == repr(estimate_mean_pitch(fe.band))
+
+    def test_rescaled_by_a_power_of_two(self):
+        s = generate_utterance(SynthSpec(pitch_hz=150.0, seed=41))
+        fe = front_end(Signal(3e-200 * s.samples, s.sample_rate_hz))
+        assert 0.5 <= np.abs(fe.signal.samples).max() < 1.0
+
+    def test_voiced_frames_counted_in_the_same_pass(self):
+        s = generate_utterance(SynthSpec(pitch_hz=130.0, duration_s=1.0, seed=42))
+        pitch = estimate_mean_pitch(s)
+        assert pitch.voiced_frames == 49  # (16000 - 640) // 320 + 1 frames, all voiced
+        assert pitch.voiced
+        silent = estimate_mean_pitch(Signal(np.zeros(16000), 16000))
+        assert silent == PITCH_FALLBACK_HZ and silent.voiced_frames == 0 and not silent.voiced
+
+
+class TestUnvoicedAbstains:
+    @pytest.mark.parametrize("fs", RATES)
+    @pytest.mark.parametrize("kind", ("white", "pink"))
+    def test_noise_is_unvoiced_for_both_methods(self, kind, fs):
+        for seed in (1, 2, 3):
+            s = noise(kind, fs, seed)
+            assert front_end(s).pitch_hz.voiced_frames < PITCH_MIN_VOICED_FRAMES
+            for detect in DETECTORS:
+                d = detect(s)
+                assert d.polarity is Polarity.INDETERMINATE
+                assert d == UNVOICED and d.evidence() == "unvoiced"
+
+    def test_no_zff_hilbert_or_lp_on_unvoiced_input(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a detector stage ran on unvoiced input")
+
+        monkeypatch.setattr(hilbert_phase, "zff_filter", refuse)
+        monkeypatch.setattr(hilbert_phase, "analytic_signal", refuse)
+        monkeypatch.setattr(reskew, "lp_residual", refuse)
+        s = noise("white", 16000, 4)
+        for detect in DETECTORS:
+            assert detect(s) == UNVOICED
+
+    @pytest.mark.parametrize("ms", (100, 110, 119))
+    def test_input_under_120_ms_is_unvoiced(self, ms):
+        s = generate_utterance(SynthSpec(pitch_hz=150.0, seed=43))
+        short = Signal(s.samples[:16 * ms], 16000)
+        for detect in DETECTORS:
+            assert detect(short) == UNVOICED
+
+    def test_unvoiced_decision_is_antisymmetric(self):
+        s = noise("pink", 8000, 5)
+        for detect in DETECTORS:
+            assert detect(s.negated()) == detect(s) == UNVOICED
+

@@ -12,9 +12,10 @@ from speechpolarity import (InvalidInputError, Polarity, PolarityDecision, Signa
                             glottal_flow_estimate, hilbert_envelope, hilbert_phase, reskew,
                             select_he_peaks, zff_filter)
 from speechpolarity import epochs as zff_stage
+from speechpolarity import frontend
 from speechpolarity.dsp import butterworth, hilbert_transform
-from speechpolarity.hilbert_phase import (BAND_HIGH_HZ, BAND_LOW_HZ, HP_ANALYSIS_RATE_HZ,
-                                          MIN_PHASE_MAGNITUDE, MIN_VOTES, PEAK_SEARCH_MS,
+from speechpolarity.frontend import BAND_HIGH_HZ, BAND_LOW_HZ, HP_ANALYSIS_RATE_HZ
+from speechpolarity.hilbert_phase import (MIN_PHASE_MAGNITUDE, MIN_VOTES, PEAK_SEARCH_MS,
                                           PHASE_SPAN_PERIODS, PROMINENCE_FLOOR, _phase_reads)
 
 FS = 16000
@@ -232,7 +233,7 @@ class TestAnalysisRate:
         def refuse(*args, **kwargs):
             raise AssertionError("resample_poly called")
 
-        monkeypatch.setattr(hilbert_phase, "resample_poly", refuse)
+        monkeypatch.setattr(frontend, "resample_poly", refuse)
         s = generate_utterance(SynthSpec(pitch_hz=120.0, sample_rate_hz=rate, seed=96))
         assert detect_polarity_hp(s).polarity is Polarity.POSITIVE
 
@@ -392,17 +393,19 @@ class TestFilterDesignCache:
 
 
 class TestPitchEstimatedOnce:
-    """Each detector estimates the mean pitch once; the stages take it as an argument."""
+    """Each detector estimates the mean pitch once, on the front end's band; the stages take
+    it as an argument."""
 
     @pytest.fixture
     def pitch_calls(self, monkeypatch):
-        calls = []
+        calls = []  # (rate, result) of each estimate
 
         def counting(s):
-            calls.append(s.sample_rate_hz)
-            return estimate_mean_pitch(s)
+            pitch = estimate_mean_pitch(s)
+            calls.append((s.sample_rate_hz, pitch))
+            return pitch
 
-        for module in (zff_stage, hilbert_phase, reskew):
+        for module in (zff_stage, frontend):
             monkeypatch.setattr(module, "estimate_mean_pitch", counting)
         return calls
 
@@ -416,3 +419,17 @@ class TestPitchEstimatedOnce:
         zff_filter(s, 120.0)
         glottal_flow_estimate(s, mean_pitch_hz=120.0)
         assert pitch_calls == []
+
+    @pytest.mark.parametrize("detect", (detect_polarity_hp, detect_polarity_reskew))
+    def test_estimate_at_no_more_than_the_analysis_rate(self, detect, pitch_calls):
+        detect(generate_utterance(SynthSpec(pitch_hz=120.0, sample_rate_hz=48000, seed=33)))
+        assert [rate for rate, _ in pitch_calls] == [HP_ANALYSIS_RATE_HZ]
+
+    @pytest.mark.parametrize("rate", (8000, 16000, 48000))
+    def test_both_detectors_get_the_same_pitch(self, rate, pitch_calls):
+        s = generate_utterance(SynthSpec(pitch_hz=170.0, sample_rate_hz=rate, seed=34))
+        detect_polarity_hp(s)
+        detect_polarity_reskew(s)
+        (hp_rate, hp_pitch), (reskew_rate, reskew_pitch) = pitch_calls
+        assert hp_rate == reskew_rate == min(rate, HP_ANALYSIS_RATE_HZ)
+        assert repr(hp_pitch) == repr(reskew_pitch)

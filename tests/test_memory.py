@@ -1,13 +1,14 @@
-"""Peak memory of the frame analyses, the flow and a whole hp call grows with the input,
-by a bounded factor."""
+"""Peak memory of the frame analyses, the flow and a whole call of either detector grows with
+the input, by a bounded factor."""
 
 import tracemalloc
 from functools import partial
 
 import pytest
 
-from speechpolarity import (Signal, SynthSpec, detect_polarity_hp, estimate_mean_pitch,
-                            generate_utterance, glottal_flow_estimate, lp_residual, zff_filter)
+from speechpolarity import (Signal, SynthSpec, detect_polarity_hp, detect_polarity_reskew,
+                            estimate_mean_pitch, generate_utterance, glottal_flow_estimate,
+                            lp_residual, zff_filter)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,9 @@ def traced_peak(fn, *args) -> int:
 # its output and that buffer, 2x.  The flow held 4x with scipy's filtfilt
 # keeping its padded copy to the end and the average subtracted out of place,
 # 3x without either.  A whole hp call held 6x, and 5x since it drops its
-# rescaled input once the band exists and the band once the flow exists.
+# rescaled input once the band exists and the band once the flow exists.  A
+# whole reskew call holds 3x: the front end's band and pitch, then a flow
+# stage whose mean-removed input is freed once the residual exists.
 @pytest.mark.parametrize("fn,args,bound", [
     (estimate_mean_pitch, (), 2.5),
     (lp_residual, (None,), 4.5),
@@ -46,7 +49,8 @@ def traced_peak(fn, *args) -> int:
     (zff_filter, (120.0,), 2.5),
     (partial(glottal_flow_estimate, mean_pitch_hz=120.0), (), 3.5),
     (detect_polarity_hp, (), 5.5),
-], ids=["pitch", "lp-default-order", "lp-order-8", "zff", "glottal-flow", "hp"])
+    (detect_polarity_reskew, (), 3.5),
+], ids=["pitch", "lp-default-order", "lp-order-8", "zff", "glottal-flow", "hp", "reskew"])
 def test_peak_is_a_bounded_multiple_of_the_input(twenty_seconds, fn, args, bound):
     s = twenty_seconds
     peak = traced_peak(fn, s, *args)

@@ -7,7 +7,7 @@ from scipy.ndimage import maximum_filter1d
 from scipy.signal import lfilter
 
 from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec,
-                            UndefinedStatisticError, detect_polarity_reskew,
+                            UndefinedStatisticError, detect_polarity_hp, detect_polarity_reskew,
                             generate_utterance, levinson, lp_residual, reskew_statistic,
                             skewness)
 from speechpolarity import reskew
@@ -475,3 +475,20 @@ class TestDetector:
     def test_short_signal_rejected(self):
         with pytest.raises(InvalidInputError):
             detect_polarity_reskew(Signal(np.ones(800), FS))
+
+
+# f0 and polarity of the DC-offset cells; each utterance's seed is int(f0).
+DC_CELLS = [(f0, polarity) for f0 in (90.0, 130.0, 200.0, 280.0)
+            for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)]
+
+
+class TestDcOffset:
+    """A DC offset of 0.3 times the peak: reskew removes the mean before its LP."""
+
+    @pytest.mark.parametrize("detect", (detect_polarity_reskew, detect_polarity_hp))
+    def test_right_on_every_cell(self, detect):
+        for f0, polarity in DC_CELLS:
+            x = generate_utterance(SynthSpec(pitch_hz=f0, sample_rate_hz=16000, polarity=polarity,
+                                             seed=int(f0))).samples
+            s = Signal(x + 0.3 * np.abs(x).max(), 16000)
+            assert detect(s).polarity is polarity, (f0, polarity)
