@@ -1,7 +1,7 @@
 """Polarity detection from analytic-signal phase at Hilbert-envelope peaks.
 
 The detector starts from ``frontend.front_end``: the 60-1600 Hz band of the
-rescaled input and the band's mean pitch.  Unvoiced input abstains there,
+power-of-two rescaled input and its mean pitch.  Unvoiced input abstains there,
 before any stage below runs.  Per utterance: every zero crossing of the zero-frequency-filtered band,
 rising and falling alike, is an anchor, so the anchors of a signal and its
 negation are the same.  For each anchor the argmax of the Hilbert envelope
@@ -13,12 +13,14 @@ the peak to ``PHASE_SPAN_PERIODS`` mean pitch periods after it.
 
 Differentiating tilts the band toward the broadband closure event and away
 from low-frequency formant ringing.  The peaks land at closure or in the
-closed phase that follows it (up to about 0.4 periods later on the
-synthetic corpus), and in white noise fewer of the votes read after them
-go wrong than with peaks of the band itself.  For a positive-polarity
-recording the flow falls into its minimum at closure and stays low while
-the glottis is closed, so the phase read just after the peak is negative;
-the calibrated sign constant maps the majority vote onto a polarity.
+closed phase that follows it: on the synthetic corpus the voting peaks sit
+0.02 / 0.09 / 0.26 periods after the preceding closure (10th / 50th / 90th
+percentile) clean, 0.04 / 0.15 / 0.59 in white noise at 0 dB, and in white
+noise fewer of the votes read after them go wrong than with peaks of the
+band itself.  For a positive-polarity recording the flow falls into its
+minimum at closure and stays low while the glottis is closed, so the phase
+read just after the peak is negative; the calibrated sign constant maps the
+majority vote onto a polarity.
 
 The read starts at the peak and spans only an eighth of a period, because
 the flow's trough is not always wide: when a formant sits on the
@@ -53,7 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dsp import analytic_signal, cosine_phase, hilbert_envelope
 from .epochs import extract_epochs, zff_filter
 from .frontend import UNVOICED, front_end
-from .reskew import glottal_flow_estimate
+from .reskew import glottal_flow_estimate, lp_residual
 from .types import InvalidInputError, Polarity, PolarityDecision, Signal
 
 # LP order for the band-limited detector path at HP_ANALYSIS_RATE_HZ or below:
@@ -131,8 +133,7 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
     indeterminate; otherwise the vote majority maps onto a polarity through
     ``VOTE_SIGN_FOR_POSITIVE`` (see ``calibrate``).
     """
-    rescaled, band, pitch = front_end(s)
-    del rescaled  # the caller's own input stays alive
+    _, band, pitch = front_end(s)
     if not pitch.voiced:
         return UNVOICED
     fs = band.sample_rate_hz
@@ -142,7 +143,7 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
 
     positive = negative = 0
     if peaks.size:
-        flow = glottal_flow_estimate(band, HP_RESIDUAL_ORDER, mean_pitch_hz=pitch)
+        flow = glottal_flow_estimate(lp_residual(band, HP_RESIDUAL_ORDER), fs, mean_pitch_hz=pitch)
         del band
         means = _phase_reads(cosine_phase(analytic_signal(flow)), fs, peaks, pitch)
         positive = int(np.count_nonzero(means >= MIN_PHASE_MAGNITUDE))

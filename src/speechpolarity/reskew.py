@@ -8,13 +8,13 @@ recording polarity while being indifferent to the vocal-tract shape that
 confuses waveform-level statistics.
 
 The detector starts from ``frontend.front_end`` and abstains there on
-unvoiced input.  Otherwise it analyses the whole rescaled input at its own
-rate, with its mean removed first: left in, a DC offset of 0.3 times the
-peak enters every LP frame and turns 6 of 8 test utterances' skewness the
-wrong way.  The integrator and the detrend window are sized by the mean
-pitch of the front end's band, not by a pitch of the raw signal, which is
-estimated at up to 48 kHz and at white 0 dB falls back to
-``PITCH_FALLBACK_HZ`` on most of the synthetic corpus.
+unvoiced input.  Otherwise it analyses the whole input at its own rate,
+rescaled by the front end's power of two, with its mean removed first:
+left in, a DC offset of 0.3 times the peak enters every LP frame and turns
+6 of 8 test utterances' skewness the wrong way.  The integrator and the
+detrend window are sized by the mean pitch of the front end's band, not by
+a pitch of the raw signal, which is estimated at up to 48 kHz and at white
+0 dB falls back to ``PITCH_FALLBACK_HZ`` on most of the synthetic corpus.
 """
 
 from __future__ import annotations
@@ -255,13 +255,13 @@ def skewness(x) -> float:
     return float(m3 / denom)
 
 
-def glottal_flow_estimate(s: Signal, order: int | None = None, *,
+def glottal_flow_estimate(residual: np.ndarray, sample_rate_hz: int, *,
                           mean_pitch_hz: float) -> np.ndarray:
-    """Rough glottal-flow approximation from the LP residual.
+    """Rough glottal-flow approximation from an LP residual (``lp_residual``'s result).
 
-    The residual at LP order ``order`` (default: ``lp_residual``'s rule) is
-    lowpass-smoothed (whitening ringing removed) by a zero-phase order-4
-    Butterworth at ``RESIDUAL_SMOOTH_HZ``, leaky-integrated over roughly
+    The residual, at ``sample_rate_hz``, is lowpass-smoothed (whitening
+    ringing removed) by a zero-phase order-4 Butterworth at
+    ``RESIDUAL_SMOOTH_HZ``, leaky-integrated over roughly
     ``INTEGRATION_PERIODS`` pitch periods, and detrended in place by a
     centered moving average of ``DETREND_PERIODS`` pitch periods so that
     integration drift and sub-pitch noise do not drown the flow bumps.
@@ -270,10 +270,7 @@ def glottal_flow_estimate(s: Signal, order: int | None = None, *,
     """
     if not 0.0 < mean_pitch_hz < np.inf:
         raise InvalidInputError(f"mean pitch must be positive and finite, got {mean_pitch_hz}")
-    return _flow_from_residual(lp_residual(s, order), s.sample_rate_hz, mean_pitch_hz)
-
-
-def _flow_from_residual(residual: np.ndarray, fs: int, mean_pitch_hz: float) -> np.ndarray:
+    fs = sample_rate_hz
     smooth = zero_phase_butterworth(residual, 4, fs, RESIDUAL_SMOOTH_HZ)
     tau = INTEGRATION_PERIODS * fs / mean_pitch_hz
     pole = float(np.exp(-1.0 / tau))
@@ -282,37 +279,44 @@ def _flow_from_residual(residual: np.ndarray, fs: int, mean_pitch_hz: float) -> 
     return subtract_moving_average(g, int(round(DETREND_PERIODS * fs / mean_pitch_hz)))
 
 
-def _flow_skewness(s: Signal, mean_pitch_hz: float) -> float:
-    # The mean goes before the LP.  Its centred copy is freed once the
-    # residual exists, and the residual once the flow does, so the call
-    # holds no more than glottal_flow_estimate does.
-    fs = s.sample_rate_hz
-    return skewness(_flow_from_residual(lp_residual(Signal(s.samples - s.samples.mean(), fs)),
-                                        fs, mean_pitch_hz))
+def _centred(s: Signal, exponent: int) -> Signal:
+    # The one copy of the input made before the LP: times 2**-exponent, then centred.
+    if not exponent:
+        return Signal(s.samples - s.samples.mean(), s.sample_rate_hz)
+    x = np.ldexp(s.samples, -exponent)
+    x -= x.mean()
+    return Signal(x, s.sample_rate_hz)
+
+
+def _flow_skewness(s: Signal, exponent: int, mean_pitch_hz: float) -> float:
+    # Only the nested call holds the centred copy, so it is freed once the
+    # residual exists, and the residual once the flow does.
+    return skewness(glottal_flow_estimate(lp_residual(_centred(s, exponent)), s.sample_rate_hz,
+                                          mean_pitch_hz=mean_pitch_hz))
 
 
 def reskew_statistic(s: Signal) -> float:
     """Skewness of the glottal-flow approximation; positive for positive polarity.
 
-    ``s`` goes through ``front_end``; the flow is that of the rescaled input
-    at its own rate with its mean removed, integrated and detrended by the
-    band's mean pitch (``PITCH_FALLBACK_HZ`` on unvoiced input, where
-    ``detect_polarity_reskew`` abstains instead).  Odd under sample negation
-    and invariant under positive rescaling.
+    ``s`` goes through ``front_end``; the flow is that of ``s`` at its own
+    rate, rescaled by the front end's exponent and with its mean removed,
+    integrated and detrended by the band's mean pitch (``PITCH_FALLBACK_HZ``
+    on unvoiced input, where ``detect_polarity_reskew`` abstains instead).
+    Odd under sample negation and invariant under positive rescaling.
     """
-    rescaled, band, pitch = front_end(s)
+    exponent, band, pitch = front_end(s)
     del band
-    return _flow_skewness(rescaled, pitch)
+    return _flow_skewness(s, exponent, pitch)
 
 
 def detect_polarity_reskew(s: Signal) -> PolarityDecision:
     """Decide polarity from the sign of ``reskew_statistic``; unvoiced input is ``UNVOICED``."""
-    rescaled, band, pitch = front_end(s)
+    exponent, band, pitch = front_end(s)
     del band  # not kept alive through the LP
     if not pitch.voiced:
         return UNVOICED
     try:
-        delta = _flow_skewness(rescaled, pitch)
+        delta = _flow_skewness(s, exponent, pitch)
     except UndefinedStatisticError:
         return PolarityDecision(Polarity.INDETERMINATE, statistic=0.0)
     if abs(delta) < INDETERMINATE_BAND:

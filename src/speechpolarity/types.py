@@ -71,24 +71,6 @@ class Signal:
         return Signal(-self.samples, self.sample_rate_hz)
 
 
-def detector_input(s: Signal) -> Signal:
-    """Check a signal for either detector and rescale it by a power of two.
-
-    Rejects a signal too short or too coarsely sampled.  The returned signal
-    has its peak in [0.5, 1): a power-of-two scale leaves every normal
-    sample's mantissa as it is, and it keeps the LP lags of very loud or
-    very quiet input inside the floating-point range.
-    """
-    if s.duration_s < 0.1:
-        raise InvalidInputError("polarity detection needs at least 100 ms of audio")
-    if s.sample_rate_hz < 1000:
-        raise InvalidInputError("polarity detection needs a sample rate of at least 1 kHz")
-    _, exponent = np.frexp(np.max(np.abs(s.samples)))
-    if exponent == 0:
-        return s
-    return Signal(np.ldexp(s.samples, -exponent), s.sample_rate_hz)
-
-
 @dataclass(frozen=True)
 class PolarityDecision:
     """Outcome of a polarity detector with its vote or statistic evidence.

@@ -8,7 +8,7 @@ from scipy.signal import filtfilt
 
 from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec, estimate_mean_pitch,
                             extract_epochs, generate_utterance, glottal_flow_estimate,
-                            zff_filter)
+                            lp_residual, zff_filter)
 from speechpolarity.dsp import butterworth, subtract_moving_average
 from speechpolarity.epochs import (_PITCH_BLOCK_FRAMES, BOUNDARY_GUARD_SAMPLES,
                                    PITCH_FALLBACK_HZ, PITCH_FRAME_MS,
@@ -256,7 +256,9 @@ class TestZffFilter:
         with pytest.raises(InvalidInputError):
             zff_filter(Signal(np.ones(64), FS), mean_pitch_hz=60.0)  # a 25 ms window
 
-    @pytest.mark.parametrize("stage", (zff_filter, glottal_flow_estimate))
+    @pytest.mark.parametrize("stage", (zff_filter, lambda s, mean_pitch_hz: glottal_flow_estimate(
+        lp_residual(s), s.sample_rate_hz, mean_pitch_hz=mean_pitch_hz)),
+        ids=("zff_filter", "glottal_flow_estimate"))
     @pytest.mark.parametrize("pitch", (0.0, -100.0, float("nan"), float("inf")))
     def test_pitch_not_positive_and_finite_rejected(self, stage, pitch):
         # unchecked, 0 and nan raised raw arithmetic errors, -100 gave a flow

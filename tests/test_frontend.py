@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.fft import prev_fast_len
 
-from speechpolarity import (FrontEnd, Polarity, Signal, SynthSpec, detect_polarity_hp,
-                            detect_polarity_reskew, estimate_mean_pitch, front_end,
-                            generate_utterance, hilbert_phase, reskew)
+from speechpolarity import (FrontEnd, InvalidInputError, Polarity, Signal, SynthSpec,
+                            detect_polarity_hp, detect_polarity_reskew, estimate_mean_pitch,
+                            front_end, generate_utterance, hilbert_phase, reskew,
+                            reskew_statistic)
 from speechpolarity.epochs import PITCH_FALLBACK_HZ, PITCH_MIN_VOICED_FRAMES
 from speechpolarity.frontend import HP_ANALYSIS_RATE_HZ, UNVOICED
 from speechpolarity.synth import _pink_noise, _white_noise
@@ -26,7 +27,7 @@ class TestFrontEnd:
         s = generate_utterance(SynthSpec(pitch_hz=150.0, sample_rate_hz=fs, seed=40))
         fe = front_end(s)
         assert isinstance(fe, FrontEnd)
-        assert fe.signal.sample_rate_hz == fs and fe.signal.samples.size == s.samples.size
+        assert 0.5 <= np.abs(np.ldexp(s.samples, -fe.exponent)).max() < 1.0
         rate = min(fs, HP_ANALYSIS_RATE_HZ)
         assert fe.band.sample_rate_hz == rate
         assert fe.band.samples.size == prev_fast_len(fe.band.samples.size)
@@ -36,8 +37,16 @@ class TestFrontEnd:
 
     def test_rescaled_by_a_power_of_two(self):
         s = generate_utterance(SynthSpec(pitch_hz=150.0, seed=41))
-        fe = front_end(Signal(3e-200 * s.samples, s.sample_rate_hz))
-        assert 0.5 <= np.abs(fe.signal.samples).max() < 1.0
+        quiet = 3e-200 * s.samples
+        fe = front_end(Signal(quiet, s.sample_rate_hz))
+        assert 0.5 <= np.abs(np.ldexp(quiet, -fe.exponent)).max() < 1.0
+
+    @pytest.mark.parametrize("check", (front_end, detect_polarity_reskew, reskew_statistic))
+    @pytest.mark.parametrize("s", (Signal(np.ones(800), 16000), Signal(np.ones(200), 500)),
+                             ids=("too-short", "too-coarse"))
+    def test_input_checked(self, check, s):
+        with pytest.raises(InvalidInputError):
+            check(s)
 
     def test_voiced_frames_counted_in_the_same_pass(self):
         s = generate_utterance(SynthSpec(pitch_hz=130.0, duration_s=1.0, seed=42))

@@ -9,8 +9,8 @@ from speechpolarity import (InvalidInputError, Polarity, PolarityDecision, Signa
                             analytic_signal, detect_polarity_hp,
                             detect_polarity_reskew, dsp, estimate_mean_pitch,
                             extract_epochs, generate_utterance, generate_utterance_with_instants,
-                            glottal_flow_estimate, hilbert_envelope, hilbert_phase, reskew,
-                            select_he_peaks, zff_filter)
+                            glottal_flow_estimate, hilbert_envelope, hilbert_phase,
+                            lp_residual, reskew, select_he_peaks, zff_filter)
 from speechpolarity import epochs as zff_stage
 from speechpolarity import frontend
 from speechpolarity.dsp import butterworth, hilbert_transform
@@ -417,7 +417,7 @@ class TestPitchEstimatedOnce:
     def test_stages_given_a_pitch_estimate_none(self, pitch_calls):
         s = utterance(seed=33)
         zff_filter(s, 120.0)
-        glottal_flow_estimate(s, mean_pitch_hz=120.0)
+        glottal_flow_estimate(lp_residual(s), s.sample_rate_hz, mean_pitch_hz=120.0)
         assert pitch_calls == []
 
     @pytest.mark.parametrize("detect", (detect_polarity_hp, detect_polarity_reskew))

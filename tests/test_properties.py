@@ -1,5 +1,6 @@
-"""Antisymmetry and power-of-two scale invariance of both detectors on random voiced inputs,
-and the output invariants of the analytic-signal stages on arbitrary finite inputs."""
+"""Antisymmetry and power-of-two scale invariance of both detectors on random voiced inputs
+with a DC offset, and the output invariants of the analytic-signal stages on arbitrary finite
+inputs."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,13 +22,20 @@ voiced = st.builds(
     jitter_pct=st.floats(0.0, 3.0),
     seed=st.integers(0, 2**31 - 1),
 )
+# DC offset in multiples of the utterance's peak
+offset = st.floats(-0.5, 0.5)
 property_settings = settings(derandomize=True, deadline=None, database=None)
 
 
-@property_settings
-@given(spec=voiced)
-def test_negation_flips_decision_and_swaps_votes(spec):
+def offset_utterance(spec: SynthSpec, dc: float) -> Signal:
     s = generate_utterance(spec)
+    return Signal(s.samples + dc * np.max(np.abs(s.samples)), s.sample_rate_hz)
+
+
+@property_settings
+@given(spec=voiced, dc=offset)
+def test_negation_flips_decision_and_swaps_votes(spec, dc):
+    s = offset_utterance(spec, dc)
     for detect in DETECTORS:
         d, dn = detect(s), detect(s.negated())
         assert dn.polarity is d.polarity.flipped()
@@ -39,9 +47,9 @@ def test_negation_flips_decision_and_swaps_votes(spec):
 
 
 @property_settings
-@given(spec=voiced, k=st.integers(-300, 300))
-def test_power_of_two_scaling_changes_nothing(spec, k):
-    s = generate_utterance(spec)
+@given(spec=voiced, dc=offset, k=st.integers(-300, 300))
+def test_power_of_two_scaling_changes_nothing(spec, dc, k):
+    s = offset_utterance(spec, dc)
     scaled = Signal(np.ldexp(s.samples, k), s.sample_rate_hz)
     for detect in DETECTORS:
         assert detect(scaled) == detect(s)

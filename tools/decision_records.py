@@ -10,11 +10,11 @@ Run from the root of a checkout, so that its own ``src/`` is imported:
 The inputs are the 400 A5 utterances of ``tests/test_acceptance.py`` and the
 detect-short inputs of ``perfbench/workloads.py`` for seeds 201 and 1201
 and the long-file recordings of any ``--long-file`` seeds.
-Each input is decided as given and negated, by each method.  One JSON
-record per line holds the input, orientation and method, and for ``hp``
-the polarity, votes and ``anchors_used``, for ``reskew`` the polarity and
-``repr(statistic)``; a decision that gives a reason for abstaining adds it
-as ``reason``.
+Each input is decided as given and negated, by each method of
+``harness.METHODS``.  One JSON record per line holds the input,
+orientation and method, and for ``hp`` the polarity, votes and
+``anchors_used``, for ``reskew`` the polarity and ``repr(statistic)``; a
+decision that gives a reason for abstaining adds it as ``reason``.
 
 ``--a5`` writes only the A5 utterances as given, 800 records: the golden
 file ``tests/data/decisions_a5.jsonl``, which Tier-1 compares with the
@@ -87,13 +87,12 @@ def _record(name: str, orientation: str, method: str, decide, signal) -> dict:
 def write_records(long_seeds: list[int], out, a5_only: bool = False) -> None:
     root = Path.cwd()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench"), str(root / "tests")]
-    from speechpolarity import detect_polarity_hp, detect_polarity_reskew
-    methods = (("hp", detect_polarity_hp), ("reskew", detect_polarity_reskew))
+    from speechpolarity.harness import METHODS
     for name, signal in _inputs(long_seeds, a5_only):
         orientations = (("given", signal),) if a5_only else (("given", signal),
                                                               ("negated", signal.negated()))
         for orientation, s in orientations:
-            for method, decide in methods:
+            for method, decide in METHODS.items():
                 out.write(json.dumps(_record(name, orientation, method, decide, s)) + "\n")
 
 
