@@ -10,12 +10,15 @@ The shipped defaults are asserted against this procedure in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .hilbert_phase import detect_polarity_hp
 from .reskew import reskew_statistic
 from .synth import SynthSpec, generate_utterance
 from .types import Polarity
 
+# Seed of the battery's first utterance; each further one adds 1.
+CALIBRATION_SEED = 20240101
 CALIBRATION_PITCHES = (90.0, 140.0, 210.0, 280.0)
 CALIBRATION_FORMANTS = (
     ((700.0, 80.0), (1220.0, 100.0), (2600.0, 120.0)),
@@ -32,21 +35,20 @@ class CalibrationResult:
     statistic_agreement: float
 
 
-def _battery(seed: int):
-    k = 0
-    for pitch in CALIBRATION_PITCHES:
-        for formants in CALIBRATION_FORMANTS:
-            yield SynthSpec(pitch_hz=pitch, duration_s=0.8, sample_rate_hz=16000,
-                            formants=formants, polarity=Polarity.POSITIVE,
-                            jitter_pct=1.0, seed=seed + k)
-            k += 1
+def _battery():
+    for k, (pitch, formants) in enumerate(product(CALIBRATION_PITCHES, CALIBRATION_FORMANTS)):
+        yield SynthSpec(pitch_hz=pitch, duration_s=0.8, sample_rate_hz=16000, formants=formants,
+                        polarity=Polarity.POSITIVE, jitter_pct=1.0, seed=CALIBRATION_SEED + k)
 
 
-def calibrate(seed: int = 20240101) -> CalibrationResult:
-    """Determine the vote sign and statistic sign that indicate positive polarity."""
+def calibrate() -> CalibrationResult:
+    """Determine the vote sign and statistic sign that indicate positive polarity.
+
+    The battery of utterances is fixed, so every call gives the same result.
+    """
     vote_signs = []
     stat_signs = []
-    for spec in _battery(seed):
+    for spec in _battery():
         s = generate_utterance(spec)
         decision = detect_polarity_hp(s)
         if decision.positive_votes != decision.negative_votes:

@@ -15,8 +15,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dsp import odd_window, subtract_moving_average
 from .types import InvalidInputError, Signal
 
-# Crossings this close to the signal boundary are discarded (FFT-edge zone
-# mirrored from the analytic-signal stage).
+# Crossings this close to the signal boundary are discarded.  The guard serves
+# direct callers: on hp's path, from a 2.5 kHz band rate up, ZFF's two zeroed
+# trend windows already span at least 16 samples at each end.
 BOUNDARY_GUARD_SAMPLES = 16
 
 PITCH_FRAME_MS = 40.0

@@ -62,7 +62,7 @@ def front_end(s: Signal) -> FrontEnd:
     if s.sample_rate_hz < 1000:
         raise InvalidInputError("polarity detection needs a sample rate of at least 1 kHz")
     x, fs = s.samples, s.sample_rate_hz
-    exponent = int(np.frexp(np.max(np.abs(x)))[1])
+    exponent = int(np.frexp(max(x.max(), -x.min()))[1])
     if exponent:
         x = np.ldexp(x, -exponent)
     if fs > HP_ANALYSIS_RATE_HZ:

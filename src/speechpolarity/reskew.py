@@ -280,9 +280,7 @@ def glottal_flow_estimate(residual: np.ndarray, sample_rate_hz: int, *,
 
 
 def _centred(s: Signal, exponent: int) -> Signal:
-    # The one copy of the input made before the LP: times 2**-exponent, then centred.
-    if not exponent:
-        return Signal(s.samples - s.samples.mean(), s.sample_rate_hz)
+    # The one copy of the input made before the LP: times 2**-exponent (exact), then centred.
     x = np.ldexp(s.samples, -exponent)
     x -= x.mean()
     return Signal(x, s.sample_rate_hz)

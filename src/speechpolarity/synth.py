@@ -131,10 +131,6 @@ def generate_utterance(spec: SynthSpec) -> Signal:
     return generate_utterance_with_instants(spec)[0]
 
 
-def _white_noise(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal(n)
-
-
 def _pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     white = rng.standard_normal(n)
     spec = np.fft.rfft(white)
@@ -145,33 +141,29 @@ def _pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.fft.irfft(spec, n)
 
 
-def _fit_length(noise: np.ndarray, n: int) -> np.ndarray:
-    if noise.size >= n:
-        return noise[:n]
-    reps = int(np.ceil(n / noise.size))
-    return np.tile(noise, reps)[:n]
-
-
 def mix_noise(s: Signal, spec: NoiseSpec, *, noise: Signal | None = None) -> Signal:
     """Add noise scaled so the full-signal energy ratio matches ``spec.snr_db``.
 
-    A ``file`` source (``noise``, else read from ``spec.path``) must have the signal's rate.
+    White and pink noise are drawn from ``spec.seed``.  A ``file`` source is
+    the ``noise`` signal, which the caller reads from ``spec.path``
+    (``evaluate_corpus`` reads it once per level); it must be given and have
+    the signal's rate, and it is repeated or cut to the signal's length.
     """
     energy = float(np.dot(s.samples, s.samples))
     if energy <= 0.0:
         raise InvalidInputError("cannot set an SNR against a zero-energy signal")
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "white":
-        noise = _white_noise(s.samples.size, rng)
+        noise = rng.standard_normal(s.samples.size)
     elif spec.kind == "pink":
         noise = _pink_noise(s.samples.size, rng)
     else:
-        from .harness import load_wav  # deferred: harness owns file I/O
-        noise = load_wav(spec.path) if noise is None else noise
+        if noise is None:
+            raise InvalidInputError(f"{spec.path}: file noise needs the file's samples as `noise`")
         if noise.sample_rate_hz != s.sample_rate_hz:
             raise InvalidInputError(f"{spec.path}: noise sampled at {noise.sample_rate_hz} Hz, "
                                     f"the signal at {s.sample_rate_hz} Hz")
-        noise = _fit_length(noise.samples, s.samples.size)
+        noise = np.resize(noise.samples, s.samples.size)
     noise_energy = float(np.dot(noise, noise))
     if noise_energy <= 0.0:
         raise InvalidInputError("noise source has zero energy")

@@ -6,10 +6,11 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import speechpolarity
-from speechpolarity import Polarity, SynthSpec, generate_utterance, load_wav, save_wav
+from speechpolarity import Polarity, Signal, SynthSpec, generate_utterance, load_wav, save_wav
 from speechpolarity.cli import _build_parser, main
 
 FS = 16000
@@ -35,8 +36,6 @@ class TestDetect:
         assert main(["detect", str(wav), "--method", "hp"]) == 1
 
     def test_indeterminate_exit_code(self, tmp_path):
-        import numpy as np
-        from speechpolarity import Signal
         path = tmp_path / "silence.wav"
         save_wav(path, Signal(np.zeros(FS) + 1e-9, FS))
         assert main(["detect", str(path), "--method", "hp"]) == 2
@@ -50,6 +49,12 @@ class TestDetect:
 
     def test_missing_file_io_error(self, tmp_path):
         assert main(["detect", str(tmp_path / "ghost.wav"), "--method", "hp"]) == 74
+
+    def test_not_a_wav_data_error(self, tmp_path, capsys):
+        path = tmp_path / "notes.wav"
+        path.write_text("not audio\n", encoding="utf-8")
+        assert main(["detect", str(path)]) == 65
+        assert "unreadable WAV" in capsys.readouterr().err
 
     def test_usage_error(self):
         assert main(["detect"]) == 64
@@ -105,7 +110,6 @@ class TestSynth:
         main(["synth", "--pitch", "100", "--duration", "0.4", "--seed", "7", "--out", str(a)])
         main(["synth", "--pitch", "100", "--duration", "0.4", "--seed", "7",
               "--polarity", "negative", "--out", str(b)])
-        import numpy as np
         sa, sb = load_wav(a), load_wav(b)
         assert np.max(np.abs(sa.samples + sb.samples)) <= 2.0 / 32768
 
@@ -143,6 +147,34 @@ class TestEval:
 
     def test_missing_manifest_io_error(self, tmp_path):
         assert main(["eval", "--manifest", str(tmp_path / "ghost.txt")]) == 74
+
+    def test_empty_manifest_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("# no entries\n", encoding="utf-8")
+        assert main(["eval", "--manifest", str(manifest)]) == 65
+        assert "manifest is empty" in capsys.readouterr().err
+
+    def test_file_noise_sweep_table(self, tmp_path, capsys):
+        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+        noise = tmp_path / "babble.wav"
+        save_wav(noise, Signal(0.1 * np.random.default_rng(8).standard_normal(FS // 2), FS))
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{wav.name},positive,speech\n", encoding="utf-8")
+        assert main(["eval", "--manifest", str(manifest), "--noise", f"file:{noise}",
+                     "--snr", "10,20"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        block = out[out.index("") + 1:]
+        assert block[0].split() == ["Error", "rate", "(%)", "10", "dB", "20", "dB"]
+        assert [row.split()[0] for row in block[1:]] == ["hp", "reskew"]
+
+    def test_missing_noise_file_io_error(self, tmp_path, capsys):
+        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{wav.name},positive,speech\n", encoding="utf-8")
+        ghost = tmp_path / "ghost.wav"
+        assert main(["eval", "--manifest", str(manifest), "--noise", f"file:{ghost}",
+                     "--snr", "10"]) == 74
+        assert str(ghost) in capsys.readouterr().err
 
     @pytest.mark.parametrize("snr", ["abc", ",", ""])
     def test_non_numeric_snr_usage_error(self, tmp_path, capsys, snr):

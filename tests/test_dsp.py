@@ -134,11 +134,12 @@ class TestHilbertTransform:
         assert e_out <= e_in * (1 + 1e-12)
         assert abs(e_out - e_in) <= 1e-9 * e_in
 
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(InvalidInputError):
-            Signal(np.array([]), FS)
-        with pytest.raises(InvalidInputError):
-            Signal(np.array([0.0, np.nan]), FS)
+    @pytest.mark.parametrize("samples,rate,match", [
+        (np.array([]), FS, "at least one sample"), (np.array([0.0, np.nan]), FS, "non-finite"),
+        (np.ones((2, 8)), FS, "one-dimensional"), (np.ones(8), 0, "sample rate")])
+    def test_rejects_empty_and_nonfinite(self, samples, rate, match):
+        with pytest.raises(InvalidInputError, match=match):
+            Signal(samples, rate)
 
     @pytest.mark.parametrize("shape", [(0,), (2, 8), (1, 1), ()])
     def test_rejects_empty_and_multidimensional_arrays(self, shape):

@@ -10,15 +10,15 @@ from speechpolarity import (FrontEnd, InvalidInputError, Polarity, Signal, Synth
                             reskew_statistic)
 from speechpolarity.epochs import PITCH_FALLBACK_HZ, PITCH_MIN_VOICED_FRAMES
 from speechpolarity.frontend import HP_ANALYSIS_RATE_HZ, UNVOICED
-from speechpolarity.synth import _pink_noise, _white_noise
+from speechpolarity.synth import _pink_noise
 
 DETECTORS = (detect_polarity_hp, detect_polarity_reskew)
 RATES = (8000, 16000, 48000)
 
 
 def noise(kind: str, fs: int, seed: int) -> Signal:
-    make = _white_noise if kind == "white" else _pink_noise
-    return Signal(make(fs, np.random.default_rng(seed)), fs)
+    rng = np.random.default_rng(seed)
+    return Signal(rng.standard_normal(fs) if kind == "white" else _pink_noise(fs, rng), fs)
 
 
 class TestFrontEnd:

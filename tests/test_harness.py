@@ -102,9 +102,11 @@ class TestManifest:
         with pytest.raises(InvalidInputError):
             CorpusManifest("dup", (e, e))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidInputError):
-            CorpusManifest("k", (ManifestEntry("x.wav", Polarity.POSITIVE, "other"),))
+    @pytest.mark.parametrize("polarity,kind,match", [
+        (Polarity.POSITIVE, "other", "kind"), (Polarity.INDETERMINATE, "speech", "polarity")])
+    def test_unknown_kind_rejected(self, polarity, kind, match):
+        with pytest.raises(InvalidInputError, match=match):
+            CorpusManifest("k", (ManifestEntry("x.wav", polarity, kind),))
 
 
 class TestEvaluateCorpus:
@@ -223,9 +225,10 @@ class TestEvaluateCorpus:
         monkeypatch.setattr(harness, "load_wav", counting_load_wav)
         noise_reads, json_out, csv_out = run()
         assert noise_reads <= 3
-        # reference: mix_noise reads the file itself for every file and level
+        # reference: the file is read again for every file and level
         mix_noise = harness.mix_noise
-        monkeypatch.setattr(harness, "mix_noise", lambda s, spec, noise=None: mix_noise(s, spec))
+        monkeypatch.setattr(harness, "mix_noise", lambda s, spec, noise=None: mix_noise(
+            s, spec, noise=harness.load_wav(spec.path)))
         ref_reads, ref_json, ref_csv = run()
         assert ref_reads == 12  # 3 checks + 3 files x 3 levels
         assert json_out == ref_json and csv_out == ref_csv
@@ -331,6 +334,13 @@ class TestConsistencyFailures:
         assert report.per_snr == {"hp": {5.0: 1.0, 20.0: 0.8125}, "reskew": {5.0: 0.75, 20.0: 0.75}}
         assert [list(levels) for levels in report.per_snr.values()] == [[5.0, 20.0], [5.0, 20.0]]
 
+    def test_table_counts_failures(self, report):
+        table = render_report(report, "table").splitlines()
+        assert table[-2:] == ["", "internal-consistency failures: 5"]
+        assert table[-5:-2] == ["Error rate (%)      5 dB     20 dB",
+                                "hp               100.000    81.250",
+                                "reskew            75.000    75.000"]
+
     def test_json_rows_follow_record_fields(self, report):
         names = [f.name for f in dataclasses.fields(TrialRecord)]
         rows = json.loads(render_report(report, "json"))["per_file"]
@@ -371,6 +381,10 @@ class TestRenderReport:
         report = evaluate_corpus(manifest, methods=("hp",), noise_sweep=sweep)
         lines = render_report(report, "csv").strip().splitlines()
         assert len(lines) == 1 + 1 + 2  # header + method row + per-SNR rows
+        table = render_report(report, "table").splitlines()
+        assert table[-3:] == ["", "Error rate (%)     10 dB     20 dB",
+                              f"hp            {100 * report.per_snr['hp'][10.0]:>10.3f}"
+                              f"{100 * report.per_snr['hp'][20.0]:>10.3f}"]
 
     def test_aggregation_matches_per_file(self, report):
         for m, tally in report.per_method.items():

@@ -6,7 +6,7 @@ from scipy.linalg import solve_toeplitz
 from scipy.ndimage import maximum_filter1d
 from scipy.signal import lfilter
 
-from speechpolarity import (InvalidInputError, Polarity, Signal, SynthSpec,
+from speechpolarity import (InvalidInputError, Polarity, PolarityDecision, Signal, SynthSpec,
                             UndefinedStatisticError, detect_polarity_hp, detect_polarity_reskew,
                             generate_utterance, levinson, lp_residual, reskew_statistic,
                             skewness)
@@ -471,6 +471,19 @@ class TestDetector:
     def test_silence_is_indeterminate(self):
         silent = Signal(np.zeros(FS), FS)
         assert detect_polarity_reskew(silent).polarity is Polarity.INDETERMINATE
+
+    @pytest.mark.parametrize("skew,statistic", [(None, 0.0), (5e-7, 5e-7)])
+    def test_abstains_on_an_undefined_or_tiny_statistic(self, monkeypatch, skew, statistic):
+        # silence stops at the front end, so a voiced utterance with a stubbed skewness
+        # reaches the two abstentions after the flow: None raises, as a constant flow would
+        def stub(x):
+            if skew is None:
+                raise UndefinedStatisticError("stub")
+            return skew
+
+        monkeypatch.setattr(reskew, "skewness", stub)
+        assert detect_polarity_reskew(utterance(seed=6)) == PolarityDecision(
+            Polarity.INDETERMINATE, statistic=statistic)
 
     def test_short_signal_rejected(self):
         with pytest.raises(InvalidInputError):
