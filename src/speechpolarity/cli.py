@@ -65,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"comma-separated subset of {','.join(METHODS)}")
     p_eval.add_argument("--snr", type=_snr_levels,
                         help="comma-separated SNR levels in dB for a noise sweep")
-    p_eval.add_argument("--noise", default="white", help="white, pink, or file:<path>")
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--noise", help="white (default), pink, or file:<path>; needs --snr")
+    p_eval.add_argument("--seed", type=int, help="noise seed (default 0); needs --snr")
     p_eval.add_argument("--out", help="write report to .csv or .json (default: table to stdout)")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic utterance of known polarity")
@@ -113,7 +113,7 @@ def _cmd_eval(args) -> int:
     manifest = parse_manifest(args.manifest)
     sweep = None
     if args.snr:
-        sweep = [_parse_noise(args.noise, snr, args.seed) for snr in args.snr]
+        sweep = [_parse_noise(args.noise or "white", snr, args.seed or 0) for snr in args.snr]
     report = evaluate_corpus(manifest, methods=args.methods, noise_sweep=sweep)
     if args.out:
         out = Path(args.out)
@@ -154,6 +154,9 @@ def main(argv=None) -> int:
             argv[i - 1:i + 1] = [f"--snr={argv[i]}"]
     try:
         args = parser.parse_args(argv)
+        if args.command == "eval" and args.snr is None and (
+                args.noise is not None or args.seed is not None):
+            parser.error("--noise and --seed only apply to a noise sweep: give --snr")
         if args.command == "detect":
             return _cmd_detect(args)
         if args.command == "eval":

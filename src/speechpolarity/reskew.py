@@ -7,9 +7,11 @@ a train of one-sided bumps, so its third moment changes sign with the
 recording polarity while being indifferent to the vocal-tract shape that
 confuses waveform-level statistics.
 
-The detector starts from ``frontend.front_end`` and abstains there on
-unvoiced input.  Otherwise it analyses the whole input at its own rate,
-rescaled by the front end's power of two, with its mean removed first:
+The detector starts from ``frontend.exponent_and_pitch``, the front end's
+power of two and band pitch (remembered right after ``hp`` on the same
+``Signal``), and abstains there on unvoiced input.  Otherwise it analyses
+the whole input at its own rate, rescaled by that power of two, with its
+mean removed first:
 left in, a DC offset of 0.3 times the peak enters every LP frame and turns
 6 of 8 test utterances' skewness the wrong way.  The integrator and the
 detrend window are sized by the mean pitch of the front end's band, not by
@@ -26,7 +28,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.signal import lfilter
 
 from .dsp import subtract_moving_average, zero_phase_butterworth
-from .frontend import UNVOICED, front_end
+from .frontend import UNVOICED, exponent_and_pitch
 from .types import InvalidInputError, Polarity, PolarityDecision, Signal, UndefinedStatisticError
 
 # |statistic| below this is treated as a tie.
@@ -296,21 +298,19 @@ def _flow_skewness(s: Signal, exponent: int, mean_pitch_hz: float) -> float:
 def reskew_statistic(s: Signal) -> float:
     """Skewness of the glottal-flow approximation; positive for positive polarity.
 
-    ``s`` goes through ``front_end``; the flow is that of ``s`` at its own
-    rate, rescaled by the front end's exponent and with its mean removed,
-    integrated and detrended by the band's mean pitch (``PITCH_FALLBACK_HZ``
-    on unvoiced input, where ``detect_polarity_reskew`` abstains instead).
+    ``s`` goes through ``exponent_and_pitch``; the flow is that of ``s`` at
+    its own rate, rescaled by the front end's exponent and with its mean
+    removed, integrated and detrended by the band's mean pitch
+    (``PITCH_FALLBACK_HZ`` on unvoiced input, where ``detect_polarity_reskew``
+    abstains instead).
     Odd under sample negation and invariant under positive rescaling.
     """
-    exponent, band, pitch = front_end(s)
-    del band
-    return _flow_skewness(s, exponent, pitch)
+    return _flow_skewness(s, *exponent_and_pitch(s))
 
 
 def detect_polarity_reskew(s: Signal) -> PolarityDecision:
     """Decide polarity from the sign of ``reskew_statistic``; unvoiced input is ``UNVOICED``."""
-    exponent, band, pitch = front_end(s)
-    del band  # not kept alive through the LP
+    exponent, pitch = exponent_and_pitch(s)
     if not pitch.voiced:
         return UNVOICED
     try:

@@ -40,8 +40,9 @@ class Polarity(Enum):
 class Signal:
     """A uniformly sampled real-valued waveform.
 
-    Samples must be finite and non-empty; mutating the array after
-    construction is not supported.
+    Samples must be finite and non-empty.  ``samples`` is a read-only view,
+    so writing through it raises ``ValueError``; writing to the caller's own
+    array after construction is not supported.
     """
 
     samples: np.ndarray
@@ -57,6 +58,8 @@ class Signal:
             raise InvalidInputError("signal contains non-finite samples")
         if int(self.sample_rate_hz) < 1:
             raise InvalidInputError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        arr = arr.view()
+        arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
 

@@ -186,6 +186,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert "--snr" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("option", [["--noise", "pink"], ["--seed", "4"]],
+                             ids=("noise", "seed"))
+    def test_noise_option_without_snr_usage_error(self, tmp_path, capsys, option):
+        # either option once left the clean report as it was, exiting 0
+        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{wav.name},positive,speech\n", encoding="utf-8")
+        assert main(["eval", "--manifest", str(manifest), *option]) == 64
+        captured = capsys.readouterr()
+        assert "--snr" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("snr,levels", [("-5,0", {"-5", "0"}), ("-2.5,-10", {"-2.5", "-10"}),
                                             ("-5", {"-5"}), ("0,-5", {"-5", "0"})])
     def test_negative_snr_levels(self, tmp_path, snr, levels):

@@ -1,4 +1,9 @@
-"""The shared front end: one band pitch with its voiced-frame count, and the unvoiced abstention."""
+"""The shared front end: one band pitch with its voiced-frame count, the unvoiced abstention,
+and the memo of the last signal's exponent and pitch."""
+
+import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,10 +11,10 @@ from scipy.fft import prev_fast_len
 
 from speechpolarity import (FrontEnd, InvalidInputError, Polarity, Signal, SynthSpec,
                             detect_polarity_hp, detect_polarity_reskew, estimate_mean_pitch,
-                            front_end, generate_utterance, hilbert_phase, reskew,
+                            front_end, frontend, generate_utterance, hilbert_phase, reskew,
                             reskew_statistic)
 from speechpolarity.epochs import PITCH_FALLBACK_HZ, PITCH_MIN_VOICED_FRAMES
-from speechpolarity.frontend import HP_ANALYSIS_RATE_HZ, UNVOICED
+from speechpolarity.frontend import HP_ANALYSIS_RATE_HZ, UNVOICED, exponent_and_pitch
 from speechpolarity.synth import _pink_noise
 
 DETECTORS = (detect_polarity_hp, detect_polarity_reskew)
@@ -41,12 +46,14 @@ class TestFrontEnd:
         fe = front_end(Signal(quiet, s.sample_rate_hz))
         assert 0.5 <= np.abs(np.ldexp(quiet, -fe.exponent)).max() < 1.0
 
-    @pytest.mark.parametrize("check", (front_end, detect_polarity_reskew, reskew_statistic))
+    @pytest.mark.parametrize("check", (front_end, exponent_and_pitch, detect_polarity_hp,
+                                       detect_polarity_reskew, reskew_statistic))
     @pytest.mark.parametrize("s", (Signal(np.ones(800), 16000), Signal(np.ones(200), 500)),
                              ids=("too-short", "too-coarse"))
     def test_input_checked(self, check, s):
-        with pytest.raises(InvalidInputError):
-            check(s)
+        for _ in range(2):  # invalid input is never remembered, so it raises on every call
+            with pytest.raises(InvalidInputError):
+                check(s)
 
     def test_voiced_frames_counted_in_the_same_pass(self):
         s = generate_utterance(SynthSpec(pitch_hz=130.0, duration_s=1.0, seed=42))
@@ -92,3 +99,100 @@ class TestUnvoicedAbstains:
         for detect in DETECTORS:
             assert detect(s.negated()) == detect(s) == UNVOICED
 
+
+def copy_of(s: Signal) -> Signal:
+    """A distinct Signal with the same samples: the front end has never seen it."""
+    return Signal(s.samples, s.sample_rate_hz)
+
+
+class TestMemo:
+    """The front end remembers the last Signal it analysed: its exponent and pitch, no array."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"pitch": 0, "band": 0}  # estimates and band-pass filters run by the front end
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(frontend, "estimate_mean_pitch",
+                            counting("pitch", frontend.estimate_mean_pitch))
+        monkeypatch.setattr(frontend, "zero_phase_butterworth",
+                            counting("band", frontend.zero_phase_butterworth))
+        return calls
+
+    @pytest.mark.parametrize("fs", RATES)
+    @pytest.mark.parametrize("order,bands", [
+        ((detect_polarity_hp, detect_polarity_reskew), 1),
+        ((detect_polarity_reskew, detect_polarity_hp), 2),  # hp re-bands, but keeps the pitch
+    ], ids=("hp-then-reskew", "reskew-then-hp"))
+    def test_one_estimate_for_both_detectors(self, calls, fs, order, bands):
+        s = generate_utterance(SynthSpec(pitch_hz=140.0, sample_rate_hz=fs, seed=44))
+        cold = [detect(copy_of(s)) for detect in order]
+        calls.update(pitch=0, band=0)
+        assert [detect(s) for detect in order] == cold
+        assert calls == {"pitch": 1, "band": bands}
+
+    def test_statistic_reuses_the_pitch(self, calls):
+        s = generate_utterance(SynthSpec(pitch_hz=140.0, seed=45))
+        cold = reskew_statistic(copy_of(s))
+        detect_polarity_hp(s)
+        calls.update(pitch=0, band=0)
+        assert reskew_statistic(s) == cold
+        assert calls == {"pitch": 0, "band": 0}
+
+    def test_a_distinct_signal_gets_its_own_estimate(self, calls):
+        s = generate_utterance(SynthSpec(pitch_hz=140.0, seed=46))
+        detect_polarity_hp(s)
+        detect_polarity_reskew(copy_of(s))
+        detect_polarity_reskew(s.negated())
+        assert calls["pitch"] == 3
+
+    def test_holds_neither_the_signal_nor_an_array(self):
+        s = generate_utterance(SynthSpec(pitch_hz=140.0, seed=47))
+        detect_polarity_hp(s)
+        ref, exponent, pitch = frontend._memo
+        assert ref() is s
+        assert (exponent, pitch) == exponent_and_pitch(s)
+        assert type(exponent) is int and not isinstance(pitch, np.ndarray)
+        del s
+        gc.collect()
+        assert ref() is None
+
+    def test_threads_get_the_cold_decisions(self):
+        signals = [generate_utterance(SynthSpec(pitch_hz=pitch, sample_rate_hz=8000, seed=seed,
+                                                polarity=polarity))
+                   for pitch, seed, polarity in ((110.0, 48, Polarity.POSITIVE),
+                                                 (220.0, 49, Polarity.NEGATIVE))]
+        cold = [[detect(copy_of(s)) for detect in DETECTORS] for s in signals]
+        got = [[], []]
+        turn = threading.Barrier(2, timeout=60)
+
+        def decide(k):
+            for _ in range(50):  # each detector call waits for the other thread's
+                for detect in DETECTORS:
+                    turn.wait()
+                    got[k].append(detect(signals[k]))
+
+        threads = [threading.Thread(target=decide, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the memo's reads and writes
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [c * 50 for c in cold]
+
+    def test_samples_are_read_only(self):
+        x = generate_utterance(SynthSpec(pitch_hz=140.0, seed=50)).samples.copy()
+        s = Signal(x, 16000)
+        with pytest.raises(ValueError):
+            s.samples[0] = 0.0
+        x[0] = 0.0  # the caller's own array stays writable
