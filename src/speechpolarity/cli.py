@@ -111,19 +111,19 @@ def _parse_noise(noise_arg: str, snr_db: float, seed: int) -> NoiseSpec:
 
 def _cmd_eval(args) -> int:
     manifest = parse_manifest(args.manifest)
+    out = Path(args.out) if args.out else None
+    fmt = out.suffix.lstrip(".").lower() if out else "table"
+    if out and fmt not in ("csv", "json"):  # before any file is scored
+        raise InvalidInputError(f"--out must end in .csv or .json, got {args.out!r}")
     sweep = None
     if args.snr:
         sweep = [_parse_noise(args.noise or "white", snr, args.seed or 0) for snr in args.snr]
     report = evaluate_corpus(manifest, methods=args.methods, noise_sweep=sweep)
-    if args.out:
-        out = Path(args.out)
-        fmt = out.suffix.lstrip(".").lower()
-        if fmt not in ("csv", "json"):
-            raise InvalidInputError(f"--out must end in .csv or .json, got {args.out!r}")
+    if out:
         out.write_text(render_report(report, fmt), encoding="utf-8")
         print(f"wrote {out}")
     else:
-        print(render_report(report, "table"), end="")
+        print(render_report(report, fmt), end="")
     return EX_OK
 
 

@@ -146,9 +146,8 @@ def zff_filter(s: Signal, mean_pitch_hz: float) -> Signal:
         np.cumsum(y, out=y)
         subtract_moving_average(y, width)
 
-    guard = min(2 * width, y.size)
-    y[:guard] = 0.0
-    y[y.size - guard:] = 0.0
+    y[:2 * width] = 0.0
+    y[y.size - 2 * width:] = 0.0
     return Signal(y, fs)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,10 +90,11 @@ class CorpusManifest:
                 raise InvalidInputError("manifest polarity must be positive or negative")
 
 
-def parse_manifest(path, name: str | None = None) -> CorpusManifest:
+def parse_manifest(path) -> CorpusManifest:
     """Read a manifest file: one `path,polarity,kind` entry per line, # comments.
 
-    Relative audio paths are resolved against the manifest's directory.
+    The corpus is named after the file's stem; relative audio paths are
+    resolved against the manifest's directory.
     """
     path = Path(path)
     if not path.exists():
@@ -110,7 +111,7 @@ def parse_manifest(path, name: str | None = None) -> CorpusManifest:
         wav = parts[0]
         resolved = wav if Path(wav).is_absolute() else str(base / wav)
         entries.append(ManifestEntry(resolved, Polarity.parse(parts[1]), parts[2].lower()))
-    return CorpusManifest(name or path.stem, tuple(entries))
+    return CorpusManifest(path.stem, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ class EvalReport:
     per_method: dict
     per_snr: dict | None
     per_file: list
-    consistency_failures: list = field(default_factory=list)
+    consistency_failures: list
 
 
 def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_sweep=None) -> EvalReport:
@@ -167,7 +168,7 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
     one that cannot be read or has zero energy raises before any file is scored.
     A method named more than once is run once.
     """
-    methods = tuple(dict.fromkeys(m for m in methods if m))
+    methods = tuple(dict.fromkeys(methods))
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r}; expected subset of {tuple(METHODS)}")

@@ -9,14 +9,15 @@ confuses waveform-level statistics.
 
 The detector starts from ``frontend.exponent_and_pitch``, the front end's
 power of two and band pitch (remembered right after ``hp`` on the same
-``Signal``), and abstains there on unvoiced input.  Otherwise it analyses
-the whole input at its own rate, rescaled by that power of two, with its
-mean removed first:
-left in, a DC offset of 0.3 times the peak enters every LP frame and turns
-6 of 8 test utterances' skewness the wrong way.  The integrator and the
-detrend window are sized by the mean pitch of the front end's band, not by
-a pitch of the raw signal, which is estimated at up to 48 kHz and at white
-0 dB falls back to ``PITCH_FALLBACK_HZ`` on most of the synthetic corpus.
+``Signal``), and abstains there on unvoiced input.  Otherwise its decision
+is the sign of ``reskew_statistic``, which finds that call's result in the
+front end's memo and analyses the whole input at its own rate, rescaled by
+that power of two, with its mean removed first: left in, a DC offset of
+0.3 times the peak enters every LP frame and turns 6 of 8 test utterances'
+skewness the wrong way.  The integrator and the detrend window are sized
+by the mean pitch of the front end's band, not by a pitch of the raw
+signal, which is estimated at up to 48 kHz and at white 0 dB falls back to
+``PITCH_FALLBACK_HZ`` on most of the synthetic corpus.
 """
 
 from __future__ import annotations
@@ -288,13 +289,6 @@ def _centred(s: Signal, exponent: int) -> Signal:
     return Signal(x, s.sample_rate_hz)
 
 
-def _flow_skewness(s: Signal, exponent: int, mean_pitch_hz: float) -> float:
-    # Only the nested call holds the centred copy, so it is freed once the
-    # residual exists, and the residual once the flow does.
-    return skewness(glottal_flow_estimate(lp_residual(_centred(s, exponent)), s.sample_rate_hz,
-                                          mean_pitch_hz=mean_pitch_hz))
-
-
 def reskew_statistic(s: Signal) -> float:
     """Skewness of the glottal-flow approximation; positive for positive polarity.
 
@@ -305,16 +299,19 @@ def reskew_statistic(s: Signal) -> float:
     abstains instead).
     Odd under sample negation and invariant under positive rescaling.
     """
-    return _flow_skewness(s, *exponent_and_pitch(s))
+    exponent, pitch = exponent_and_pitch(s)
+    # Only the nested call holds the centred copy, so it is freed once the
+    # residual exists, and the residual once the flow does.
+    return skewness(glottal_flow_estimate(lp_residual(_centred(s, exponent)), s.sample_rate_hz,
+                                          mean_pitch_hz=pitch))
 
 
 def detect_polarity_reskew(s: Signal) -> PolarityDecision:
     """Decide polarity from the sign of ``reskew_statistic``; unvoiced input is ``UNVOICED``."""
-    exponent, pitch = exponent_and_pitch(s)
-    if not pitch.voiced:
+    if not exponent_and_pitch(s)[1].voiced:
         return UNVOICED
     try:
-        delta = _flow_skewness(s, exponent, pitch)
+        delta = reskew_statistic(s)
     except UndefinedStatisticError:
         return PolarityDecision(Polarity.INDETERMINATE, statistic=0.0)
     if abs(delta) < INDETERMINATE_BAND:

@@ -36,13 +36,14 @@ class Polarity(Enum):
             raise InvalidInputError(f"unknown polarity {text!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
     """A uniformly sampled real-valued waveform.
 
     Samples must be finite and non-empty.  ``samples`` is a read-only view,
     so writing through it raises ``ValueError``; writing to the caller's own
-    array after construction is not supported.
+    array after construction is not supported.  Signals compare and hash by
+    identity: two with equal samples are distinct.
     """
 
     samples: np.ndarray
@@ -94,7 +95,7 @@ class PolarityDecision:
     def __post_init__(self):
         if self.positive_votes < 0 or self.negative_votes < 0 or self.anchors_used < 0:
             raise InvalidInputError("vote counts must be non-negative")
-        if self.positive_votes + self.negative_votes > self.anchors_used and self.statistic is None:
+        if self.positive_votes + self.negative_votes > self.anchors_used:
             raise InvalidInputError("vote counts cannot exceed the number of anchors")
 
     def evidence(self) -> str:

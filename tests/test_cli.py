@@ -252,12 +252,20 @@ class TestEval:
         assert main(["eval", "--manifest", str(manifest), "--config", str(cfg)]) == 64
         assert "unrecognized arguments: --config" in capsys.readouterr().err
 
-    def test_bad_out_extension(self, tmp_path):
-        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+    def test_bad_out_extension(self, tmp_path, capsys, monkeypatch):
+        # the whole evaluation once ran before the suffix was checked
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate_corpus ran for a report it cannot write")
+
+        monkeypatch.setattr(speechpolarity.cli, "evaluate_corpus", refuse)
         manifest = tmp_path / "corpus.txt"
-        manifest.write_text(f"{wav.name},positive,speech\n", encoding="utf-8")
-        assert main(["eval", "--manifest", str(manifest), "--out",
-                     str(tmp_path / "report.xml")]) == 65
+        manifest.write_text("pos.wav,positive,speech\n", encoding="utf-8")
+        out = tmp_path / "report.xml"
+        assert main(["eval", "--manifest", str(manifest), "--snr", "0,10",
+                     "--out", str(out)]) == 65
+        err = capsys.readouterr().err
+        assert err == f"error: --out must end in .csv or .json, got {str(out)!r}\n"
+        assert not out.exists()
 
 
 class TestCalibrate:

@@ -144,6 +144,18 @@ class TestMemo:
         assert reskew_statistic(s) == cold
         assert calls == {"pitch": 0, "band": 0}
 
+    @pytest.mark.parametrize("fs", RATES)
+    def test_decision_statistic_is_the_public_statistic(self, calls, fs):
+        s = generate_utterance(SynthSpec(pitch_hz=140.0, sample_rate_hz=fs, seed=51))
+        cold = copy_of(s)
+        statistic = detect_polarity_reskew(cold).statistic
+        assert statistic.hex() == reskew_statistic(cold).hex()
+        assert calls["pitch"] == 1
+        detect_polarity_hp(s)
+        assert detect_polarity_reskew(s).statistic.hex() == reskew_statistic(s).hex()
+        assert reskew_statistic(s).hex() == statistic.hex()
+        assert calls["pitch"] == 2  # one estimate per signal
+
     def test_a_distinct_signal_gets_its_own_estimate(self, calls):
         s = generate_utterance(SynthSpec(pitch_hz=140.0, seed=46))
         detect_polarity_hp(s)

@@ -257,6 +257,12 @@ class TestEvaluateCorpus:
         with pytest.raises(InvalidInputError):
             evaluate_corpus(manifest, methods=("zcr",))
 
+    def test_empty_method_name_rejected(self):
+        # an empty name was once dropped, and the report came back empty
+        manifest = CorpusManifest("c", (ManifestEntry("a.wav", Polarity.POSITIVE, "speech"),))
+        with pytest.raises(InvalidInputError, match="unknown method ''"):
+            evaluate_corpus(manifest, methods=("",))
+
 
 class TestMethodRegistry:
     def test_detectors_looked_up_at_call_time(self, tmp_path, monkeypatch, capsys):

@@ -1,8 +1,9 @@
 """The invariants of the shared domain types that no detector input reaches."""
 
+import numpy as np
 import pytest
 
-from speechpolarity import InvalidInputError, Polarity, PolarityDecision
+from speechpolarity import InvalidInputError, Polarity, PolarityDecision, Signal
 
 
 class TestPolarity:
@@ -14,12 +15,22 @@ class TestPolarity:
         assert Polarity.INDETERMINATE.flipped() is Polarity.INDETERMINATE
 
 
+class TestSignal:
+    def test_compared_and_hashed_by_identity(self):
+        # equality once compared the sample arrays and raised; hashing raised too
+        a, b = Signal(np.arange(3.0), 8000), Signal(np.arange(3.0), 8000)
+        assert a != b
+        assert a == a and b == b
+        assert len({a, b}) == 2
+
+
 class TestPolarityDecision:
     @pytest.mark.parametrize("votes,match", [
         (dict(positive_votes=-1, anchors_used=1), "non-negative"),
         (dict(negative_votes=-1, anchors_used=1), "non-negative"),
         (dict(anchors_used=-1), "non-negative"),
-        (dict(positive_votes=2, negative_votes=2, anchors_used=3), "exceed")])
+        (dict(positive_votes=2, negative_votes=2, anchors_used=3), "exceed"),
+        (dict(positive_votes=2, anchors_used=1, statistic=0.5), "exceed")])
     def test_bad_vote_counts_rejected(self, votes, match):
         with pytest.raises(InvalidInputError, match=match):
             PolarityDecision(Polarity.POSITIVE, **votes)
