@@ -25,12 +25,6 @@ EX_IOERR = 74
 _DECISION_EXIT = {Polarity.POSITIVE: 0, Polarity.NEGATIVE: 1, Polarity.INDETERMINATE: 2}
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _snr_levels(text: str) -> list[float]:
     try:
         levels = [float(v) for v in text.split(",") if v.strip()]
@@ -50,8 +44,8 @@ def _method_list(text: str) -> tuple[str, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="speechpolarity",
-                     description="Polarity detection for speech and EGG recordings")
+    parser = argparse.ArgumentParser(
+        prog="speechpolarity", description="Polarity detection for speech and EGG recordings")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_detect = sub.add_parser("detect", help="decide the polarity of one WAV file")
@@ -165,7 +159,7 @@ def main(argv=None) -> int:
             return _cmd_synth(args)
         return _cmd_calibrate(args)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EX_USAGE
+        return EX_USAGE if exc.code == 2 else exc.code  # argparse exits 2 on a usage error
     except (InvalidInputError, UndefinedStatisticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA

@@ -31,7 +31,6 @@ the front end's exponent, with the band's pitch.
 from __future__ import annotations
 
 import weakref
-from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -82,8 +81,7 @@ def front_end(s: Signal) -> FrontEnd:
     if exponent:
         x = np.ldexp(x, -exponent)
     if fs > HP_ANALYSIS_RATE_HZ:
-        g = gcd(HP_ANALYSIS_RATE_HZ, fs)
-        x, fs = resample_poly(x, HP_ANALYSIS_RATE_HZ // g, fs // g), HP_ANALYSIS_RATE_HZ
+        x, fs = resample_poly(x, HP_ANALYSIS_RATE_HZ, fs), HP_ANALYSIS_RATE_HZ
     x = x[:prev_fast_len(x.size)]  # both of hp's Hilbert transforms at a fast length
     # fs >= 1 kHz, so the upper band edge is at least 475 Hz
     band = Signal(zero_phase_butterworth(x, 2, fs, BAND_HIGH_HZ, BAND_LOW_HZ), fs)

@@ -48,16 +48,12 @@ def load_wav(path) -> Signal:
         raise InvalidInputError(f"{path}: unreadable WAV ({exc})") from None
     if data.ndim != 1:
         raise InvalidInputError(f"{path}: expected mono audio, got {data.shape[1]} channels")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / INT16_SCALE
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    elif data.dtype == np.float64:
-        samples = data
-    else:
+    if data.dtype not in (np.int16, np.float32, np.float64):
         raise InvalidInputError(f"{path}: unsupported sample format {data.dtype}; "
                                 "use 16-bit PCM, 32-bit float or 64-bit float")
-    return Signal(samples, int(rate))
+    if data.dtype == np.int16:
+        data = data / INT16_SCALE
+    return Signal(data, rate)
 
 
 def save_wav(path, s: Signal) -> None:
@@ -101,7 +97,7 @@ def parse_manifest(path) -> CorpusManifest:
         raise FileNotFoundError(f"no such manifest: {path}")
     base = path.parent
     entries = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

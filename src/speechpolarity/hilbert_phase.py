@@ -81,11 +81,12 @@ def select_he_peaks(envelope: np.ndarray, epochs: np.ndarray, sample_rate_hz: in
 
     ``epochs``, 1-D indices into ``envelope`` (``extract_epochs``' result)
     both at ``sample_rate_hz``, are taken as int64; one outside
-    ``[0, envelope.size)`` is rejected.  For each epoch, in any order, the
-    envelope argmax within +-``PEAK_SEARCH_MS`` is taken (the first of equal
-    maxima; the window is cut off at either end of the envelope), kept only
-    if it reaches ``PROMINENCE_FLOOR`` times the global envelope maximum;
-    duplicates collapse to one index and the result is ascending.
+    ``[0, envelope.size)`` is rejected, and no epochs give no peaks.  For
+    each epoch, in any order, the envelope argmax within
+    +-``PEAK_SEARCH_MS`` is taken (the first of equal maxima; the window is
+    cut off at either end of the envelope), kept only if it reaches
+    ``PROMINENCE_FLOOR`` times the global envelope maximum; duplicates
+    collapse to one index and the result is ascending.
 
     The windows are rows of a strided view of the envelope padded with
     ``-inf``, so the cut-off windows need no special case; they are
@@ -93,9 +94,7 @@ def select_he_peaks(envelope: np.ndarray, epochs: np.ndarray, sample_rate_hz: in
     temporary copy.
     """
     epochs = np.asarray(epochs, dtype=np.int64)
-    if epochs.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if epochs.ndim != 1 or epochs.min() < 0 or epochs.max() >= envelope.size:
+    if epochs.size and (epochs.ndim != 1 or epochs.min() < 0 or epochs.max() >= envelope.size):
         raise InvalidInputError(f"epochs must be 1-D indices in [0, {envelope.size}), got "
                                 f"{epochs.min()}..{epochs.max()} in shape {epochs.shape}")
     half = int(round(PEAK_SEARCH_MS * sample_rate_hz / 1000.0))
@@ -141,14 +140,11 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
     peaks = select_he_peaks(hilbert_envelope(analytic_signal(np.gradient(band.samples))), epochs,
                             fs)
 
-    positive = negative = 0
-    if peaks.size:
-        flow = glottal_flow_estimate(lp_residual(band, HP_RESIDUAL_ORDER), fs, mean_pitch_hz=pitch)
-        del band
-        means = _phase_reads(cosine_phase(analytic_signal(flow)), fs, peaks, pitch)
-        positive = int(np.count_nonzero(means >= MIN_PHASE_MAGNITUDE))
-        negative = int(np.count_nonzero(means <= -MIN_PHASE_MAGNITUDE))
-
+    flow = glottal_flow_estimate(lp_residual(band, HP_RESIDUAL_ORDER), fs, mean_pitch_hz=pitch)
+    del band  # freed before the flow's Hilbert transform
+    means = _phase_reads(cosine_phase(analytic_signal(flow)), fs, peaks, pitch)
+    positive = int(np.count_nonzero(means >= MIN_PHASE_MAGNITUDE))
+    negative = int(np.count_nonzero(means <= -MIN_PHASE_MAGNITUDE))
     total = positive + negative
     if total < MIN_VOTES or positive == negative:
         polarity = Polarity.INDETERMINATE

@@ -40,8 +40,8 @@ class SynthSpec:
             raise InvalidInputError(f"pitch_hz must lie in [50, 400], got {self.pitch_hz}")
         if self.pitch_hz >= self.sample_rate_hz / 8:
             raise InvalidInputError("pitch_hz must be below sample_rate_hz / 8")
-        if self.duration_s <= 0:
-            raise InvalidInputError("duration_s must be positive")
+        if not self.duration_s * self.sample_rate_hz > 0.5:  # rounds to no sample, or is NaN
+            raise InvalidInputError(f"duration_s must span a sample, got {self.duration_s}")
         if not (0.0 <= self.jitter_pct <= 5.0):
             raise InvalidInputError(f"jitter_pct must lie in [0, 5], got {self.jitter_pct}")
         if self.polarity not in (Polarity.POSITIVE, Polarity.NEGATIVE):

@@ -56,8 +56,16 @@ class TestDetect:
         assert main(["detect", str(path)]) == 65
         assert "unreadable WAV" in capsys.readouterr().err
 
-    def test_usage_error(self):
+    def test_usage_error(self, capsys):
         assert main(["detect"]) == 64
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: speechpolarity detect ")
+        assert err[1] == ("speechpolarity detect: error: "
+                          "the following arguments are required: file")
+
+    def test_help_exits_ok(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: speechpolarity ")
 
     def test_config_flag_removed(self, tmp_path, capsys):
         wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
@@ -115,6 +123,14 @@ class TestSynth:
 
     def test_invalid_pitch_data_error(self, tmp_path):
         assert main(["synth", "--pitch", "20", "--out", str(tmp_path / "x.wav")]) == 65
+
+    def test_duration_under_a_sample_data_error(self, tmp_path, capsys):
+        # once an uncaught ValueError from the empty waveform's peak
+        out = tmp_path / "t.wav"
+        assert main(["synth", "--pitch", "120", "--duration", "0.00001", "--out", str(out)]) == 65
+        err = capsys.readouterr().err
+        assert "duration_s" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestEval:

@@ -2,19 +2,23 @@
 and the memo of the last signal's exponent and pitch."""
 
 import gc
+import math
 import sys
 import threading
 
 import numpy as np
 import pytest
 from scipy.fft import prev_fast_len
+from scipy.signal import resample_poly
 
 from speechpolarity import (FrontEnd, InvalidInputError, Polarity, Signal, SynthSpec,
                             detect_polarity_hp, detect_polarity_reskew, estimate_mean_pitch,
                             front_end, frontend, generate_utterance, hilbert_phase, reskew,
                             reskew_statistic)
 from speechpolarity.epochs import PITCH_FALLBACK_HZ, PITCH_MIN_VOICED_FRAMES
-from speechpolarity.frontend import HP_ANALYSIS_RATE_HZ, UNVOICED, exponent_and_pitch
+from speechpolarity.dsp import zero_phase_butterworth
+from speechpolarity.frontend import (BAND_HIGH_HZ, BAND_LOW_HZ, HP_ANALYSIS_RATE_HZ, UNVOICED,
+                                     exponent_and_pitch)
 from speechpolarity.synth import _pink_noise
 
 DETECTORS = (detect_polarity_hp, detect_polarity_reskew)
@@ -39,6 +43,18 @@ class TestFrontEnd:
         assert fe.band.samples.size >= 0.98 * rate
         assert fe.pitch_hz.voiced and abs(fe.pitch_hz - 150.0) < 3.0
         assert repr(fe.pitch_hz) == repr(estimate_mean_pitch(fe.band))
+
+    @pytest.mark.parametrize("fs", (22050, 44100, 96000))
+    def test_band_is_that_of_the_reduced_ratio(self, fs):
+        # resample_poly divides its factors by their gcd itself
+        s = generate_utterance(SynthSpec(pitch_hz=150.0, duration_s=0.5, sample_rate_hz=fs,
+                                         seed=43))
+        fe = front_end(s)
+        g = math.gcd(HP_ANALYSIS_RATE_HZ, fs)
+        x = resample_poly(np.ldexp(s.samples, -fe.exponent), HP_ANALYSIS_RATE_HZ // g, fs // g)
+        x = x[:prev_fast_len(x.size)]
+        band = zero_phase_butterworth(x, 2, HP_ANALYSIS_RATE_HZ, BAND_HIGH_HZ, BAND_LOW_HZ)
+        assert fe.band.samples.tobytes() == band.tobytes()
 
     def test_rescaled_by_a_power_of_two(self):
         s = generate_utterance(SynthSpec(pitch_hz=150.0, seed=41))

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def make_corpus(tmp_path, entries):
     manifest_entries = []
     for name, pitch, polarity, kind in entries:
         spec = SynthSpec(pitch_hz=pitch, duration_s=0.6, sample_rate_hz=FS,
-                         polarity=polarity, seed=hash(name) % 100000)
+                         polarity=polarity, seed=zlib.crc32(name.encode()) % 100000)
         path = tmp_path / f"{name}.wav"
         save_wav(path, generate_utterance(spec))
         manifest_entries.append(ManifestEntry(str(path), polarity, kind))
@@ -53,6 +54,7 @@ class TestWavIO:
         wavfile.write(path, FS, data)
         s = load_wav(path)
         assert np.allclose(s.samples, data, atol=1e-7)
+        assert s.samples.tobytes() == data.astype(np.float64).tobytes()
 
     def test_float64_read_as_is(self, tmp_path):
         path = tmp_path / "f64.wav"
@@ -90,6 +92,21 @@ class TestManifest:
         assert parsed.entries[0].path == str(wav)
         assert parsed.entries[0].true_polarity is Polarity.POSITIVE
         assert parsed.entries[0].kind == "speech"
+
+    @pytest.mark.parametrize("absolute", (False, True), ids=("relative", "absolute"))
+    def test_byte_order_mark_ignored(self, tmp_path, absolute):
+        # the mark once became part of the first path, so its file was "missing"
+        wav = tmp_path / "a.wav"
+        save_wav(wav, generate_utterance(SynthSpec(pitch_hz=100.0, duration_s=0.4, seed=1)))
+        manifest = tmp_path / "corpus.txt"
+        listed = str(wav) if absolute else "a.wav"
+        manifest.write_text(f"{listed},positive,speech\n", encoding="utf-8-sig")
+        assert manifest.read_bytes().startswith(b"\xef\xbb\xbf")
+        parsed = parse_manifest(manifest)
+        assert [e.path for e in parsed.entries] == [str(wav)]
+        report = evaluate_corpus(parsed)
+        assert len(report.per_file) == 4
+        assert not any(r.error or r.decision == "error" for r in report.per_file)
 
     def test_bad_line_rejected(self, tmp_path):
         manifest = tmp_path / "bad.txt"

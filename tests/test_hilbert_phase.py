@@ -48,8 +48,11 @@ class TestSelectHePeaks:
         e_n = extract_epochs(zff_filter(s.negated(), estimate_mean_pitch(s.negated())))
         assert np.array_equal(select_he_peaks(env_p, e_p, FS), select_he_peaks(env_n, e_n, FS))
 
-    def test_empty_epochs_give_empty(self):
-        assert select_he_peaks(np.ones(1000), np.empty(0, dtype=np.int64), FS).size == 0
+    @pytest.mark.parametrize("epochs", (np.empty(0, dtype=np.int64), [], np.empty((0, 3))),
+                             ids=("int64", "list", "2-D"))
+    def test_empty_epochs_give_empty(self, epochs):
+        peaks = select_he_peaks(np.ones(1000), epochs, FS)
+        assert peaks.size == 0 and peaks.dtype == np.int64
 
     def test_prominence_floor_suppresses_quiet_peaks(self):
         values = np.full(4000, 0.01)
@@ -130,6 +133,13 @@ class TestDetector:
         monkeypatch.setattr(hilbert_phase, "MIN_VOTES", total + 1)
         assert detect_polarity_hp(s) == PolarityDecision(
             Polarity.INDETERMINATE, d.positive_votes, d.negative_votes, d.anchors_used)
+
+    def test_no_peaks_no_votes(self, monkeypatch):
+        # the flow and its phase still run; reads of no peaks give no votes
+        monkeypatch.setattr(hilbert_phase, "select_he_peaks",
+                            lambda *args: np.empty(0, dtype=np.int64))
+        assert detect_polarity_hp(utterance(seed=29)) == PolarityDecision(
+            Polarity.INDETERMINATE, positive_votes=0, negative_votes=0, anchors_used=0)
 
     def test_silence_is_indeterminate(self):
         d = detect_polarity_hp(Signal(np.zeros(FS), FS))

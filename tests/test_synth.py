@@ -49,6 +49,7 @@ class TestGenerator:
         (dict(pitch_hz=100.0, sample_rate_hz=16000, formants=((9000.0, 100.0),)), "formant centre"),
         (dict(pitch_hz=100.0, polarity=Polarity.INDETERMINATE), "polarity"),
         (dict(pitch_hz=100.0, duration_s=0.0), "duration_s"),
+        (dict(pitch_hz=100.0, duration_s=1e-5), "duration_s"),
         (dict(pitch_hz=100.0, formants=((700.0, 0.0),)), "bandwidth"),
     ])
     def test_spec_validation(self, kwargs, match):
