@@ -52,6 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("file")
     p_detect.add_argument("--method", choices=(*METHODS, "both"), default="both")
     p_detect.add_argument("--json", action="store_true", help="machine-readable output")
+    p_detect.set_defaults(run=_cmd_detect)
 
     p_eval = sub.add_parser("eval", help="evaluate a corpus manifest")
     p_eval.add_argument("--manifest", required=True)
@@ -62,6 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--noise", help="white (default), pink, or file:<path>; needs --snr")
     p_eval.add_argument("--seed", type=int, help="noise seed (default 0); needs --snr")
     p_eval.add_argument("--out", help="write report to .csv or .json (default: table to stdout)")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic utterance of known polarity")
     p_synth.add_argument("--pitch", type=float, required=True)
@@ -71,8 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--jitter", type=float, default=1.0)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True)
+    p_synth.set_defaults(run=_cmd_synth)
 
-    sub.add_parser("calibrate", help="re-derive the sign conventions from the synthetic oracle")
+    sub.add_parser("calibrate", help="re-derive the sign conventions from the synthetic oracle"
+                   ).set_defaults(run=_cmd_calibrate)
     return parser
 
 
@@ -151,13 +155,7 @@ def main(argv=None) -> int:
         if args.command == "eval" and args.snr is None and (
                 args.noise is not None or args.seed is not None):
             parser.error("--noise and --seed only apply to a noise sweep: give --snr")
-        if args.command == "detect":
-            return _cmd_detect(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        return _cmd_calibrate(args)
+        return args.run(args)
     except SystemExit as exc:
         return EX_USAGE if exc.code == 2 else exc.code  # argparse exits 2 on a usage error
     except (InvalidInputError, UndefinedStatisticError) as exc:

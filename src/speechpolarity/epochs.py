@@ -9,6 +9,8 @@ for a signal and its negation.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -33,18 +35,11 @@ ZFF_TREND_PASSES = 3
 _PITCH_BLOCK_FRAMES = 128  # pitch frames transformed per FFT call
 
 
-class PitchEstimate(float):
-    """A mean pitch in Hz, as a float, with the number of voiced frames it was taken from.
+class PitchEstimate(NamedTuple):
+    """A mean pitch in Hz with the number of voiced frames it was taken from."""
 
-    A float, so a caller that wants only the frequency uses it as one.
-    """
-
-    __slots__ = ("voiced_frames",)
-
-    def __new__(cls, hz: float, voiced_frames: int):
-        estimate = super().__new__(cls, hz)
-        estimate.voiced_frames = voiced_frames
-        return estimate
+    hz: float
+    voiced_frames: int
 
     @property
     def voiced(self) -> bool:
@@ -57,11 +52,11 @@ def estimate_mean_pitch(s: Signal) -> PitchEstimate:
 
     The peak lag is searched between 2.5 and 20 ms (50-400 Hz); a frame
     counts as voiced when its normalized autocorrelation peak reaches 0.5.
-    The result carries the voiced-frame count of the same frame pass.  It
-    is ``PITCH_FALLBACK_HZ`` when fewer than 5 frames are voiced, which
-    includes every signal shorter than 120 ms (5 frames at a 20 ms hop);
-    the count is 0 for a signal shorter than 100 ms, or one sampled too
-    coarsely for the lag range.
+    The result holds the mean in Hz (``hz``) and the voiced-frame count of
+    the same frame pass.  The mean is ``PITCH_FALLBACK_HZ`` when fewer than
+    5 frames are voiced, which includes every signal shorter than 120 ms (5
+    frames at a 20 ms hop); the count is 0 for a signal shorter than 100 ms,
+    or one sampled too coarsely for the lag range.
     The frame autocorrelations are computed ``_PITCH_BLOCK_FRAMES`` frames
     at a time, each block's frame copies and spectra freed before the next,
     and only lags 0 to 20 ms + 1 sample are kept: one array about the
@@ -113,7 +108,7 @@ def estimate_mean_pitch(s: Signal) -> PitchEstimate:
     pitches = fs / lag
     if pitches.size < PITCH_MIN_VOICED_FRAMES:
         return PitchEstimate(PITCH_FALLBACK_HZ, pitches.size)
-    return PitchEstimate(np.mean(pitches), pitches.size)
+    return PitchEstimate(float(np.mean(pitches)), pitches.size)
 
 
 def zff_filter(s: Signal, mean_pitch_hz: float) -> Signal:

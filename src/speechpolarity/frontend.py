@@ -7,18 +7,18 @@ or very quiet input in the floating-point range.  It rescales the input by
 that power, resamples it once, polyphase, to ``HP_ANALYSIS_RATE_HZ`` (16
 kHz) if it is sampled faster, keeps the longest prefix whose length is
 11-smooth (``prev_fast_len``: no prime factor above 11), and band-passes
-that prefix to 60-1600 Hz.  The mean pitch is estimated on the band, and
-counts the voiced frames.
+that prefix to 60-1600 Hz.  ``FrontEnd.pitch`` is the band's mean pitch.
 
-The module remembers the last ``Signal`` that passed ``front_end``'s
-checks: a weak reference to it, its exponent and its pitch, no array.  On
-that same object ``front_end`` still builds the band, which ``hp`` needs,
-but reuses the pitch, and ``exponent_and_pitch``, all that ``reskew``
-needs, does no front-end work.  Object identity selects the entry, which
-is sound because a ``Signal``'s samples are read-only; a distinct
-``Signal`` with equal samples is analysed afresh.  The entry is one module
-global replaced as a whole, so a concurrent call on another signal only
-misses.
+The module remembers the last ``Signal`` that passed ``front_end``'s checks:
+a weak reference to it, its exponent and its pitch, no array.  On that same
+object ``front_end`` still builds the band, which ``hp`` needs, but reuses
+the pitch, and ``exponent_and_pitch``, all that ``reskew`` needs, does no
+front-end work.  Object identity selects the entry, which is sound because a
+``Signal``'s samples are read-only; a distinct ``Signal`` with equal samples
+is analysed afresh.  The entry is one module global replaced as a whole, so
+a concurrent call on another signal only misses.  One entry, not one per
+``Signal``, makes perfbench's rounds over the same objects each pay
+``hp``'s pitch estimate, as traffic that decides each input once does.
 
 With fewer than ``PITCH_MIN_VOICED_FRAMES`` voiced 40 ms frames, which
 includes every input shorter than 120 ms, the input has no pitch to speak
@@ -60,7 +60,7 @@ class FrontEnd(NamedTuple):
 
     exponent: int  # the input times 2**-exponent has its peak in [0.5, 1), or is all zero
     band: Signal  # the 60-1600 Hz band of its fast-length prefix, at no more than 16 kHz
-    pitch_hz: PitchEstimate  # the band's mean pitch and voiced-frame count
+    pitch: PitchEstimate  # the band's mean pitch and voiced-frame count
 
 
 def front_end(s: Signal) -> FrontEnd:

@@ -136,13 +136,13 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
     if not pitch.voiced:
         return UNVOICED
     fs = band.sample_rate_hz
-    epochs = extract_epochs(zff_filter(band, pitch))
+    epochs = extract_epochs(zff_filter(band, pitch.hz))
     peaks = select_he_peaks(hilbert_envelope(analytic_signal(np.gradient(band.samples))), epochs,
                             fs)
 
-    flow = glottal_flow_estimate(lp_residual(band, HP_RESIDUAL_ORDER), fs, mean_pitch_hz=pitch)
+    flow = glottal_flow_estimate(lp_residual(band, HP_RESIDUAL_ORDER), fs, mean_pitch_hz=pitch.hz)
     del band  # freed before the flow's Hilbert transform
-    means = _phase_reads(cosine_phase(analytic_signal(flow)), fs, peaks, pitch)
+    means = _phase_reads(cosine_phase(analytic_signal(flow)), fs, peaks, pitch.hz)
     positive = int(np.count_nonzero(means >= MIN_PHASE_MAGNITUDE))
     negative = int(np.count_nonzero(means <= -MIN_PHASE_MAGNITUDE))
     total = positive + negative

@@ -148,7 +148,7 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
     block: on a 20 s input at 16 kHz, about twice the input's size.
     The frame off the hop grid is filtered on its own and added last.
     A frame must hold more than order + 1 samples to fit order coefficients
-    (this rejects only rates below 1.7 kHz).
+    (this rejects only rates below 1.7 kHz, and every rate with an empty hop).
     Zero-energy frames contribute a zero residual; a frame whose Levinson
     recursion breaks down falls back to the previous healthy frame's
     coefficients, or to the identity filter before the first healthy frame.
@@ -158,8 +158,6 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
     x = s.samples
     frame = int(round(LP_FRAME_MS * fs / 1000.0))
     hop = int(round(LP_HOP_MS * fs / 1000.0))
-    if hop < 1:
-        raise InvalidInputError(f"sample rate {fs} Hz is too low for {LP_HOP_MS:g} ms LP hops")
     if frame <= order + 1:
         raise InvalidInputError(
             f"LP frames of {frame} samples are too short for an order-{order} filter")
@@ -303,7 +301,7 @@ def reskew_statistic(s: Signal) -> float:
     # Only the nested call holds the centred copy, so it is freed once the
     # residual exists, and the residual once the flow does.
     return skewness(glottal_flow_estimate(lp_residual(_centred(s, exponent)), s.sample_rate_hz,
-                                          mean_pitch_hz=pitch))
+                                          mean_pitch_hz=pitch.hz))
 
 
 def detect_polarity_reskew(s: Signal) -> PolarityDecision:

@@ -9,7 +9,8 @@ kept, so the output doubles as ground truth for epoch and peak tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.signal import lfilter
@@ -23,6 +24,7 @@ OPEN_FRACTION = 0.4
 CLOSE_FRACTION = 0.16
 
 PEAK_LEVEL = 0.5
+MAX_DURATION_S = 3600.0  # one hour; a longer SynthSpec overflows or exhausts memory
 
 
 @dataclass(frozen=True)
@@ -40,12 +42,14 @@ class SynthSpec:
             raise InvalidInputError(f"pitch_hz must lie in [50, 400], got {self.pitch_hz}")
         if self.pitch_hz >= self.sample_rate_hz / 8:
             raise InvalidInputError("pitch_hz must be below sample_rate_hz / 8")
-        if not self.duration_s * self.sample_rate_hz > 0.5:  # rounds to no sample, or is NaN
-            raise InvalidInputError(f"duration_s must span a sample, got {self.duration_s}")
+        if not 0.5 < self.duration_s * self.sample_rate_hz <= MAX_DURATION_S * self.sample_rate_hz:
+            raise InvalidInputError(f"duration_s must span a sample, up to 1 h, got {self.duration_s}")
         if not (0.0 <= self.jitter_pct <= 5.0):
             raise InvalidInputError(f"jitter_pct must lie in [0, 5], got {self.jitter_pct}")
         if self.polarity not in (Polarity.POSITIVE, Polarity.NEGATIVE):
             raise InvalidInputError("polarity must be positive or negative")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
         for centre, bw in self.formants:
             if not (0 < centre < self.sample_rate_hz / 2):
                 raise InvalidInputError(f"formant centre {centre} outside (0, fs/2)")
@@ -67,6 +71,8 @@ class NoiseSpec:
             raise InvalidInputError(f"snr_db must lie in [-10, 60], got {self.snr_db}")
         if self.kind == "file" and not self.path:
             raise InvalidInputError("file noise needs a path")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _rosenberg_cycle(period_samples: float) -> tuple[np.ndarray, int]:

@@ -74,6 +74,9 @@ class Signal:
     def negated(self) -> "Signal":
         return Signal(-self.samples, self.sample_rate_hz)
 
+    def __reduce__(self):  # copies and pickles go through the checks, so stay read-only
+        return Signal, (self.samples, self.sample_rate_hz)
+
 
 @dataclass(frozen=True)
 class PolarityDecision:

@@ -190,7 +190,7 @@ class TestA4ZffSanity:
             s = generate_utterance(SynthSpec(pitch_hz=pitch, duration_s=1.0,
                                              sample_rate_hz=FS, jitter_pct=1.0,
                                              seed=50000 + int(pitch)))
-            y = zff_filter(s, estimate_mean_pitch(s))
+            y = zff_filter(s, estimate_mean_pitch(s).hz)
             dom = self.dominant_frequency(y)
             density = len(extract_epochs(y)) / s.duration_s
             freq_ok = abs(dom - pitch) <= 0.03 * pitch

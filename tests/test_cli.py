@@ -132,6 +132,18 @@ class TestSynth:
         assert "duration_s" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,value,name", [
+        ("--duration", "inf", "duration_s"),  # once an OverflowError
+        ("--duration", "1e12", "duration_s"),  # once numpy's memory error
+        ("--seed", "-1", "seed"),  # once numpy's ValueError
+    ])
+    def test_out_of_range_option_data_error(self, tmp_path, capsys, option, value, name):
+        out = tmp_path / "t.wav"
+        assert main(["synth", "--pitch", "120", option, value, "--out", str(out)]) == 65
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_eval_to_csv_and_json(self, tmp_path, capsys):
@@ -212,6 +224,16 @@ class TestEval:
         assert main(["eval", "--manifest", str(manifest), *option]) == 64
         captured = capsys.readouterr()
         assert "--snr" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_data_error(self, tmp_path, capsys):
+        # once a ValueError from evaluate_corpus's SeedSequence
+        wav = write_utt(tmp_path, "pos.wav", Polarity.POSITIVE)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{wav.name},positive,speech\n", encoding="utf-8")
+        assert main(["eval", "--manifest", str(manifest), "--snr", "10", "--seed", "-1"]) == 65
+        captured = capsys.readouterr()
+        assert "seed" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("snr,levels", [("-5,0", {"-5", "0"}), ("-2.5,-10", {"-2.5", "-10"}),

@@ -1,8 +1,11 @@
 """The shared front end: one band pitch with its voiced-frame count, the unvoiced abstention,
 and the memo of the last signal's exponent and pitch."""
 
+import copy
+import dataclasses
 import gc
 import math
+import pickle
 import sys
 import threading
 
@@ -15,7 +18,7 @@ from speechpolarity import (FrontEnd, InvalidInputError, Polarity, Signal, Synth
                             detect_polarity_hp, detect_polarity_reskew, estimate_mean_pitch,
                             front_end, frontend, generate_utterance, hilbert_phase, reskew,
                             reskew_statistic)
-from speechpolarity.epochs import PITCH_FALLBACK_HZ, PITCH_MIN_VOICED_FRAMES
+from speechpolarity.epochs import PITCH_FALLBACK_HZ, PITCH_MIN_VOICED_FRAMES, PitchEstimate
 from speechpolarity.dsp import zero_phase_butterworth
 from speechpolarity.frontend import (BAND_HIGH_HZ, BAND_LOW_HZ, HP_ANALYSIS_RATE_HZ, UNVOICED,
                                      exponent_and_pitch)
@@ -30,6 +33,13 @@ def noise(kind: str, fs: int, seed: int) -> Signal:
     return Signal(rng.standard_normal(fs) if kind == "white" else _pink_noise(fs, rng), fs)
 
 
+@dataclasses.dataclass
+class Holding:
+    """A dataclass holding a detector-stage result, for ``dataclasses.asdict``."""
+
+    result: object
+
+
 class TestFrontEnd:
     @pytest.mark.parametrize("fs", (8000, 16000, 22050, 48000))
     def test_band_rate_length_and_pitch(self, fs):
@@ -41,8 +51,8 @@ class TestFrontEnd:
         assert fe.band.sample_rate_hz == rate
         assert fe.band.samples.size == prev_fast_len(fe.band.samples.size)
         assert fe.band.samples.size >= 0.98 * rate
-        assert fe.pitch_hz.voiced and abs(fe.pitch_hz - 150.0) < 3.0
-        assert repr(fe.pitch_hz) == repr(estimate_mean_pitch(fe.band))
+        assert fe.pitch.voiced and abs(fe.pitch.hz - 150.0) < 3.0
+        assert repr(fe.pitch) == repr(estimate_mean_pitch(fe.band))
 
     @pytest.mark.parametrize("fs", (22050, 44100, 96000))
     def test_band_is_that_of_the_reduced_ratio(self, fs):
@@ -77,7 +87,24 @@ class TestFrontEnd:
         assert pitch.voiced_frames == 49  # (16000 - 640) // 320 + 1 frames, all voiced
         assert pitch.voiced
         silent = estimate_mean_pitch(Signal(np.zeros(16000), 16000))
-        assert silent == PITCH_FALLBACK_HZ and silent.voiced_frames == 0 and not silent.voiced
+        assert silent.hz == PITCH_FALLBACK_HZ and silent.voiced_frames == 0 and not silent.voiced
+
+    @pytest.mark.parametrize("clone", (
+        copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r)),
+        lambda r: dataclasses.asdict(Holding(r))["result"]),
+        ids=("copy", "deepcopy", "pickle", "asdict"))
+    def test_results_copy_and_pickle(self, clone):
+        # a float subclass with a required second argument once made all but
+        # copy.copy of a FrontEnd raise TypeError
+        s = generate_utterance(SynthSpec(pitch_hz=130.0, seed=42))
+        pitch = estimate_mean_pitch(s)
+        assert type(clone(pitch)) is PitchEstimate and clone(pitch) == pitch
+        fe = front_end(s)
+        c = clone(fe)
+        assert (c.exponent, c.pitch) == (fe.exponent, fe.pitch)
+        band = c.band if isinstance(c.band, Signal) else Signal(**c.band)  # asdict: a dict
+        assert band.sample_rate_hz == fe.band.sample_rate_hz
+        assert band.samples.tobytes() == fe.band.samples.tobytes()
 
 
 class TestUnvoicedAbstains:
@@ -86,7 +113,7 @@ class TestUnvoicedAbstains:
     def test_noise_is_unvoiced_for_both_methods(self, kind, fs):
         for seed in (1, 2, 3):
             s = noise(kind, fs, seed)
-            assert front_end(s).pitch_hz.voiced_frames < PITCH_MIN_VOICED_FRAMES
+            assert front_end(s).pitch.voiced_frames < PITCH_MIN_VOICED_FRAMES
             for detect in DETECTORS:
                 d = detect(s)
                 assert d.polarity is Polarity.INDETERMINATE
@@ -171,6 +198,14 @@ class TestMemo:
         assert detect_polarity_reskew(s).statistic.hex() == reskew_statistic(s).hex()
         assert reskew_statistic(s).hex() == statistic.hex()
         assert calls["pitch"] == 2  # one estimate per signal
+
+    def test_one_entry_for_the_last_signal(self, calls):
+        # the memo holds the last signal only: a second signal evicts the first
+        s1, s2 = (generate_utterance(SynthSpec(pitch_hz=140.0, seed=seed)) for seed in (52, 53))
+        detect_polarity_hp(s1)
+        detect_polarity_hp(s2)
+        detect_polarity_reskew(s1)
+        assert calls["pitch"] == 3
 
     def test_a_distinct_signal_gets_its_own_estimate(self, calls):
         s = generate_utterance(SynthSpec(pitch_hz=140.0, seed=46))

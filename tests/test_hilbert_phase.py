@@ -33,7 +33,7 @@ class TestSelectHePeaks:
                          jitter_pct=1.0, seed=21)
         s, instants = generate_utterance_with_instants(spec)
         env = hilbert_envelope(analytic_signal(s.samples))
-        epochs = extract_epochs(zff_filter(s, estimate_mean_pitch(s)))
+        epochs = extract_epochs(zff_filter(s, estimate_mean_pitch(s).hz))
         peaks = select_he_peaks(env, epochs, FS)
         assert peaks.size > 50
         tol = int(0.001 * FS)
@@ -44,8 +44,8 @@ class TestSelectHePeaks:
         s = utterance(seed=22)
         env_p = hilbert_envelope(analytic_signal(s.samples))
         env_n = hilbert_envelope(analytic_signal(-s.samples))
-        e_p = extract_epochs(zff_filter(s, estimate_mean_pitch(s)))
-        e_n = extract_epochs(zff_filter(s.negated(), estimate_mean_pitch(s.negated())))
+        e_p = extract_epochs(zff_filter(s, estimate_mean_pitch(s).hz))
+        e_n = extract_epochs(zff_filter(s.negated(), estimate_mean_pitch(s.negated()).hz))
         assert np.array_equal(select_he_peaks(env_p, e_p, FS), select_he_peaks(env_n, e_n, FS))
 
     @pytest.mark.parametrize("epochs", (np.empty(0, dtype=np.int64), [], np.empty((0, 3))),

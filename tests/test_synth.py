@@ -50,6 +50,14 @@ class TestGenerator:
         (dict(pitch_hz=100.0, polarity=Polarity.INDETERMINATE), "polarity"),
         (dict(pitch_hz=100.0, duration_s=0.0), "duration_s"),
         (dict(pitch_hz=100.0, duration_s=1e-5), "duration_s"),
+        (dict(pitch_hz=100.0, duration_s=float("nan")), "duration_s"),
+        # unbounded, an infinite duration overflowed and 1e12 s exhausted memory
+        (dict(pitch_hz=100.0, duration_s=float("inf")), "duration_s"),
+        (dict(pitch_hz=100.0, duration_s=1e12), "duration_s"),
+        (dict(pitch_hz=100.0, duration_s=3600.5), "duration_s"),
+        # numpy's generator raised a bare ValueError, or a TypeError, on these
+        (dict(pitch_hz=100.0, seed=-1), "seed"),
+        (dict(pitch_hz=100.0, seed=1.5), "seed"),
         (dict(pitch_hz=100.0, formants=((700.0, 0.0),)), "bandwidth"),
     ])
     def test_spec_validation(self, kwargs, match):
@@ -129,3 +137,6 @@ class TestMixNoise:
             NoiseSpec("white", 99.0)
         with pytest.raises(InvalidInputError):
             NoiseSpec("file", 10.0)
+        for seed in (-1, 2.0):  # -1 once failed only in evaluate_corpus's SeedSequence
+            with pytest.raises(InvalidInputError, match="seed"):
+                NoiseSpec("white", 10.0, seed=seed)

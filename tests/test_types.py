@@ -1,5 +1,8 @@
 """The invariants of the shared domain types that no detector input reaches."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,17 @@ class TestSignal:
         assert a != b
         assert a == a and b == b
         assert len({a, b}) == 2
+
+    @pytest.mark.parametrize("clone", (copy.copy, copy.deepcopy,
+                                       lambda s: pickle.loads(pickle.dumps(s))),
+                             ids=("copy", "deepcopy", "pickle"))
+    def test_copies_keep_read_only_samples(self, clone):
+        # a deep copy or a pickle round trip once gave writable samples
+        s = Signal(np.arange(5.0), 8000)
+        c = clone(s)
+        assert c.sample_rate_hz == 8000 and np.array_equal(c.samples, s.samples)
+        with pytest.raises(ValueError):
+            c.samples[0] = 1.0
 
 
 class TestPolarityDecision:
