@@ -50,10 +50,21 @@ def analytic_signal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, hilbert_transform(x)
 
 
-def _magnitude(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
-    # Squares summed in one new buffer, square root in place; a largest square
-    # that overflows or is near subnormal redoes it with the pair scaled by a
-    # power of two to a largest magnitude in [0.5, 1), which is exact.
+def hilbert_envelope(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Magnitude of the analytic signal, sqrt(real^2 + imag^2); never negative.
+
+    The squares are summed into one new buffer and its square root taken in
+    place: one pass less than ``np.hypot``, whose correctly rounded libm
+    call is about three times slower.  The result is within 1 ulp of
+    ``np.hypot`` wherever the squares are normal numbers, and exactly even
+    under negation of the pair.  When the largest square overflows or falls
+    below 2^-1000, the pair is scaled exactly, by a power of two, to a largest
+    magnitude in [0.5, 1) first and the result scaled back, without a
+    warning, so the result is finite wherever ``np.hypot``'s is.  A sample
+    more than about 2^500 below the largest one has a subnormal square and
+    loses precision (``cosine_phase`` floors such samples anyway).
+    """
+    real, imag = pair
     with np.errstate(over="ignore", under="ignore"):
         out = real * real
         out += imag * imag
@@ -70,37 +81,19 @@ def _magnitude(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
         return np.ldexp(out, exponent, out=out)
 
 
-def hilbert_envelope(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Magnitude of the analytic signal, sqrt(real^2 + imag^2); never negative.
-
-    The squares are summed into one new buffer and its square root taken in
-    place: one pass less than ``np.hypot``, whose correctly rounded libm
-    call is about three times slower.  The result is within 1 ulp of
-    ``np.hypot`` wherever the squares are normal numbers, and exactly even
-    under negation of the pair.  When the largest square overflows or falls
-    below 2^-1000, the pair is scaled by a power of two to a largest
-    magnitude in [0.5, 1) first and the result scaled back, without a
-    warning, so the result is finite wherever ``np.hypot``'s is.  A sample
-    more than about 2^500 below the largest one has a subnormal square and
-    loses precision (``cosine_phase`` floors such samples anyway).
-    """
-    return _magnitude(*pair)
-
-
 def cosine_phase(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Cosine of the instantaneous phase: real part over the envelope, in [-1, 1].
 
     Samples where the envelope falls below 1e-12 of its peak (1e-12 for
     silence) yield 0, so that the result does not depend on the overall
-    signal scale and is exactly odd under negation of the signal.  The
-    envelope is ``hilbert_envelope``'s; the floor, the division and the
-    clip are done in its buffer.
+    signal scale and is exactly odd under negation of the signal.  One call
+    of ``hilbert_envelope(pair)`` makes the only buffer: the floor, the
+    division of ``pair[0]`` by it and the clip are done in place there.
     """
-    real, imag = pair
-    values = _magnitude(real, imag)
-    peak = float(values.max()) if values.size else 0.0
+    values = hilbert_envelope(pair)
+    peak = float(values.max(initial=0.0))
     np.maximum(values, 1e-12 * (peak if peak > 0.0 else 1.0), out=values)
-    np.divide(real, values, out=values)
+    np.divide(pair[0], values, out=values)
     np.clip(values, -1.0, 1.0, out=values)
     return values
 

@@ -131,10 +131,12 @@ class MethodTally:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial's row; ``level`` is its index into the noise sweep, None without a sweep."""
     path: str
     kind: str
     orientation: str  # original | negated
     snr_db: float | None
+    level: int | None
     method: str
     expected: str
     decision: str
@@ -146,7 +148,6 @@ class TrialRecord:
 @dataclass
 class EvalReport:
     name: str
-    methods: tuple
     per_method: dict
     per_snr: dict | None
     per_file: list
@@ -189,7 +190,7 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
             clean, load_error = None, str(exc)
 
         for level_idx, level in enumerate(levels):
-            snr = level.snr_db if level else None
+            snr, swept = (level.snr_db, level_idx) if level else (None, None)
             base, base_error = clean, load_error
             if clean is not None and level is not None:
                 seed = int(np.random.SeedSequence((level.seed, file_idx, level_idx)).generate_state(1)[0])
@@ -210,7 +211,7 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
                         except Exception as exc:  # recorded, not raised
                             error = str(exc)
                     records.append(TrialRecord(
-                        entry.path, entry.kind, orientation, snr, m, expected.value,
+                        entry.path, entry.kind, orientation, snr, swept, m, expected.value,
                         "error" if decision is None else decision.polarity.value,
                         "-" if decision is None else decision.evidence(),
                         decision is not None and decision.polarity is expected, error))
@@ -226,8 +227,8 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
                        for snr in sorted({r.snr_db for r in rows})}
                    for m, rows in by_method.items()}
     records.sort(key=lambda r: (r.path, -1.0 if r.snr_db is None else r.snr_db,
-                                r.orientation, r.method))
-    return EvalReport(manifest.name, methods, per_method, per_snr, records, consistency)
+                                -1 if r.level is None else r.level, r.orientation, r.method))
+    return EvalReport(manifest.name, per_method, per_snr, records, consistency)
 
 
 def _outcome(r: TrialRecord) -> str:
@@ -244,7 +245,7 @@ def _tally(rows: list[TrialRecord]) -> MethodTally:
 def _report_dict(report: EvalReport) -> dict:
     out = {
         "corpus": report.name,
-        "methods": list(report.methods),
+        "methods": list(report.per_method),
         "per_method": {
             m: {**asdict(t), "trials": t.trials, "percent_correct": round(t.percent_correct, 4),
                 "error_rate": round(t.error_rate, 6)}

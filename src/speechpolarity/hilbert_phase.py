@@ -128,9 +128,9 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
     """Vote-based polarity decision; see the module docstring for the pipeline.
 
     Unvoiced input (see ``frontend``) is ``UNVOICED``.  With fewer than
-    ``MIN_VOTES`` non-abstaining votes, or a tie, the decision is
-    indeterminate; otherwise the vote majority maps onto a polarity through
-    ``VOTE_SIGN_FOR_POSITIVE`` (see ``calibrate``).
+    ``MIN_VOTES`` non-abstaining votes the decision is indeterminate;
+    otherwise it is ``Polarity.of_sign`` of ``VOTE_SIGN_FOR_POSITIVE`` (see
+    ``calibrate``) times the vote difference, so a tie is indeterminate.
     """
     _, band, pitch = front_end(s)
     if not pitch.voiced:
@@ -145,11 +145,7 @@ def detect_polarity_hp(s: Signal) -> PolarityDecision:
     means = _phase_reads(cosine_phase(analytic_signal(flow)), fs, peaks, pitch.hz)
     positive = int(np.count_nonzero(means >= MIN_PHASE_MAGNITUDE))
     negative = int(np.count_nonzero(means <= -MIN_PHASE_MAGNITUDE))
-    total = positive + negative
-    if total < MIN_VOTES or positive == negative:
-        polarity = Polarity.INDETERMINATE
-    else:
-        majority = 1 if positive > negative else -1
-        polarity = Polarity.POSITIVE if majority == VOTE_SIGN_FOR_POSITIVE else Polarity.NEGATIVE
+    polarity = (Polarity.INDETERMINATE if positive + negative < MIN_VOTES
+                else Polarity.of_sign(VOTE_SIGN_FOR_POSITIVE * (positive - negative)))
     return PolarityDecision(polarity, positive_votes=positive, negative_votes=negative,
                             anchors_used=int(peaks.size))

@@ -185,8 +185,7 @@ def lp_residual(s: Signal, order: int | None = None) -> np.ndarray:
     coeffs, _, ok = levinson(lags)
     # row 0 is the identity filter; each frame takes the row of its last healthy
     # frame, reversed: column i is tap order - i, which multiplies x[n - order + i]
-    identity = np.zeros((1, order + 1))
-    identity[0, 0] = 1.0
+    identity = np.eye(1, order + 1)
     last_ok = np.maximum.accumulate(np.where(ok, np.arange(1, len(starts) + 1), 0))
     taps = np.concatenate([identity, coeffs])[last_ok, ::-1]
     del lags, coeffs
@@ -311,9 +310,7 @@ def detect_polarity_reskew(s: Signal) -> PolarityDecision:
     try:
         delta = reskew_statistic(s)
     except UndefinedStatisticError:
-        return PolarityDecision(Polarity.INDETERMINATE, statistic=0.0)
-    if abs(delta) < INDETERMINATE_BAND:
-        return PolarityDecision(Polarity.INDETERMINATE, statistic=delta)
-    if delta * STATISTIC_SIGN_FOR_POSITIVE > 0:
-        return PolarityDecision(Polarity.POSITIVE, statistic=delta)
-    return PolarityDecision(Polarity.NEGATIVE, statistic=delta)
+        delta = 0.0
+    return PolarityDecision(Polarity.INDETERMINATE if abs(delta) < INDETERMINATE_BAND
+                            else Polarity.of_sign(STATISTIC_SIGN_FOR_POSITIVE * delta),
+                            statistic=delta)

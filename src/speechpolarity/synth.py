@@ -15,7 +15,7 @@ from numbers import Integral
 import numpy as np
 from scipy.signal import lfilter
 
-from .types import InvalidInputError, Polarity, Signal
+from .types import InvalidInputError, Polarity, Signal, checked_rate
 
 DEFAULT_FORMANTS = ((700.0, 80.0), (1220.0, 100.0), (2600.0, 120.0))
 
@@ -38,6 +38,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "sample_rate_hz", checked_rate(self.sample_rate_hz))
         if not (50.0 <= self.pitch_hz <= 400.0):
             raise InvalidInputError(f"pitch_hz must lie in [50, 400], got {self.pitch_hz}")
         if self.pitch_hz >= self.sample_rate_hz / 8:
@@ -53,8 +54,8 @@ class SynthSpec:
         for centre, bw in self.formants:
             if not (0 < centre < self.sample_rate_hz / 2):
                 raise InvalidInputError(f"formant centre {centre} outside (0, fs/2)")
-            if bw <= 0:
-                raise InvalidInputError("formant bandwidth must be positive")
+            if not 0 < bw < np.inf:
+                raise InvalidInputError(f"formant bandwidth must be positive and finite, got {bw}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -29,6 +30,11 @@ class Polarity(Enum):
         return Polarity.INDETERMINATE
 
     @classmethod
+    def of_sign(cls, value) -> "Polarity":
+        """Positive above zero, negative below it, indeterminate at zero or NaN."""
+        return cls.POSITIVE if value > 0 else cls.NEGATIVE if value < 0 else cls.INDETERMINATE
+
+    @classmethod
     def parse(cls, text: str) -> "Polarity":
         try:
             return cls(text.strip().lower())
@@ -36,20 +42,31 @@ class Polarity(Enum):
             raise InvalidInputError(f"unknown polarity {text!r}") from None
 
 
+def checked_rate(value) -> int:
+    """``value``, a whole number of Hz of at least 1 (an int or an integral float), as an int."""
+    if (isinstance(value, Real) and not isinstance(value, bool) and 1 <= value < np.inf
+            and value % 1 == 0):
+        return int(value)
+    raise InvalidInputError(f"sample rate must be a whole number of Hz of at least 1, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Signal:
     """A uniformly sampled real-valued waveform.
 
-    Samples must be finite and non-empty.  ``samples`` is a read-only view,
-    so writing through it raises ``ValueError``; writing to the caller's own
-    array after construction is not supported.  Signals compare and hash by
-    identity: two with equal samples are distinct.
+    Samples must be real (complex ones are rejected, not cut to their real
+    part), finite and non-empty; the rate is ``checked_rate``'s int.  ``samples``
+    is a read-only view, so writing through it raises ``ValueError``; writing to
+    the caller's own array after construction is not supported.  Signals
+    compare and hash by identity: two with equal samples are distinct.
     """
 
     samples: np.ndarray
     sample_rate_hz: int
 
     def __post_init__(self):
+        if np.iscomplexobj(self.samples):
+            raise InvalidInputError("samples must be real, got complex values")
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise InvalidInputError(f"samples must be one-dimensional, got shape {arr.shape}")
@@ -57,12 +74,10 @@ class Signal:
             raise InvalidInputError("signal must contain at least one sample")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("signal contains non-finite samples")
-        if int(self.sample_rate_hz) < 1:
-            raise InvalidInputError(f"sample rate must be positive, got {self.sample_rate_hz}")
         arr = arr.view()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
+        object.__setattr__(self, "sample_rate_hz", checked_rate(self.sample_rate_hz))
 
     def __len__(self) -> int:
         return self.samples.size

@@ -136,6 +136,7 @@ class TestSynth:
         ("--duration", "inf", "duration_s"),  # once an OverflowError
         ("--duration", "1e12", "duration_s"),  # once numpy's memory error
         ("--seed", "-1", "seed"),  # once numpy's ValueError
+        ("--rate", "-5", "sample rate"),  # once reported as a pitch error
     ])
     def test_out_of_range_option_data_error(self, tmp_path, capsys, option, value, name):
         out = tmp_path / "t.wav"

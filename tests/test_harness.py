@@ -371,6 +371,15 @@ class TestConsistencyFailures:
         for row in rows:
             assert list(row) == (names if row["decision"] == "error" else names[:-1])
 
+    def test_rows_carry_sweep_level(self, report):
+        # the two 20 dB levels' rows were once told apart by nothing
+        assert {r.level for r in report.per_file if r.snr_db == 20.0} == {0, 2}
+        assert {r.level for r in report.per_file if r.snr_db == 5.0} == {1}
+        keys = [(r.path, r.level, r.orientation, r.method) for r in report.per_file]
+        assert len(set(keys)) == len(keys)
+        rows = json.loads(render_report(report, "json"))["per_file"]
+        assert [row["level"] for row in rows] == [r.level for r in report.per_file]
+
 
 class TestRenderReport:
     @pytest.fixture()
@@ -408,6 +417,9 @@ class TestRenderReport:
         assert table[-3:] == ["", "Error rate (%)     10 dB     20 dB",
                               f"hp            {100 * report.per_snr['hp'][10.0]:>10.3f}"
                               f"{100 * report.per_snr['hp'][20.0]:>10.3f}"]
+
+    def test_rows_without_sweep_have_no_level(self, report):
+        assert {r.level for r in report.per_file} == {None}
 
     def test_aggregation_matches_per_file(self, report):
         for m, tally in report.per_method.items():

@@ -59,6 +59,13 @@ class TestGenerator:
         (dict(pitch_hz=100.0, seed=-1), "seed"),
         (dict(pitch_hz=100.0, seed=1.5), "seed"),
         (dict(pitch_hz=100.0, formants=((700.0, 0.0),)), "bandwidth"),
+        # a NaN bandwidth failed only after synthesis; an infinite one made an identity filter
+        (dict(pitch_hz=100.0, formants=((700.0, float("nan")),)), "bandwidth"),
+        (dict(pitch_hz=100.0, formants=((700.0, float("inf")),)), "bandwidth"),
+        # once reported as a pitch error, or truncated to 16000 Hz
+        (dict(pitch_hz=100.0, sample_rate_hz=-5), "sample rate"),
+        (dict(pitch_hz=100.0, sample_rate_hz=0), "sample rate"),
+        (dict(pitch_hz=100.0, sample_rate_hz=16000.5), "sample rate"),
     ])
     def test_spec_validation(self, kwargs, match):
         with pytest.raises(InvalidInputError, match=match):

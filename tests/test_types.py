@@ -17,6 +17,13 @@ class TestPolarity:
     def test_indeterminate_flips_to_itself(self):
         assert Polarity.INDETERMINATE.flipped() is Polarity.INDETERMINATE
 
+    @pytest.mark.parametrize("value,polarity", [
+        (2, Polarity.POSITIVE), (-1e-300, Polarity.NEGATIVE), (0, Polarity.INDETERMINATE),
+        (0.0, Polarity.INDETERMINATE), (-0.0, Polarity.INDETERMINATE),
+        (float("nan"), Polarity.INDETERMINATE), (np.int64(-3), Polarity.NEGATIVE)])
+    def test_of_sign(self, value, polarity):
+        assert Polarity.of_sign(value) is polarity
+
 
 class TestSignal:
     def test_compared_and_hashed_by_identity(self):
@@ -36,6 +43,24 @@ class TestSignal:
         assert c.sample_rate_hz == 8000 and np.array_equal(c.samples, s.samples)
         with pytest.raises(ValueError):
             c.samples[0] = 1.0
+
+    @pytest.mark.parametrize("rate", [16000.7, float("nan"), float("inf"), "16000", True, 0, -5,
+                                      0.5, np.float64(8000.5), np.float64("inf"), np.bool_(True)])
+    def test_bad_rate_rejected(self, rate):
+        # a fractional rate was once truncated, NaN and inf raised a bare ValueError or
+        # OverflowError, and a string or True was taken as a number
+        with pytest.raises(InvalidInputError, match="sample rate"):
+            Signal(np.ones(10), rate)
+
+    @pytest.mark.parametrize("rate", [16000, 16000.0, np.int64(8000), np.float64(48000.0)])
+    def test_whole_rate_stored_as_int(self, rate):
+        s = Signal(np.ones(10), rate)
+        assert s.sample_rate_hz == int(rate) and type(s.sample_rate_hz) is int
+
+    def test_complex_samples_rejected(self):
+        # once cast to their real part with a ComplexWarning
+        with pytest.raises(InvalidInputError, match="complex"):
+            Signal(np.array([1 + 2j, 3]), 8000)
 
 
 class TestPolarityDecision:
