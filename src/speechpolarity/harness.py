@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+import struct
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -44,7 +45,7 @@ def load_wav(path) -> Signal:
         rate, data = wavfile.read(path)
     except FileNotFoundError:
         raise FileNotFoundError(f"no such audio file: {path}") from None
-    except ValueError as exc:
+    except (ValueError, struct.error, ZeroDivisionError) as exc:  # a cut-short or 0-channel header
         raise InvalidInputError(f"{path}: unreadable WAV ({exc})") from None
     if data.ndim != 1:
         raise InvalidInputError(f"{path}: expected mono audio, got {data.shape[1]} channels")
@@ -97,7 +98,11 @@ def parse_manifest(path) -> CorpusManifest:
         raise FileNotFoundError(f"no such manifest: {path}")
     base = path.parent
     entries = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: manifest is not UTF-8 ({exc})") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -66,14 +66,10 @@ def levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of rows (2-D) with at least the zero lag.  Returns (a, err, ok) where
     ``a`` are the prediction polynomials [1, a1..ap], ``err`` the final
     prediction error, and ``ok`` flags rows whose prediction error stayed
-    positive throughout the recursion.  Rows that break down keep the
-    coefficients computed up to the failing stage and are marked not-ok;
-    inf or NaN lags, or an overflow, break a row down without a warning.
-    Any other shape raises ``InvalidInputError``.
-    The recursion runs on the live rows only, compacted at each stage where
-    a row breaks down, which is then written back as it stands.  A row's
-    arithmetic does not depend on the others, so the result is bit-identical
-    to masking the dead rows at every stage of a recursion over all of them.
+    positive throughout the recursion; ``a`` and ``err`` are defined on the
+    ``ok`` rows only.  Every stage runs on every row, each row's arithmetic on
+    its own.  inf or NaN lags, or an overflow, break a row down without a
+    warning.  Any other shape raises ``InvalidInputError``.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.ndim not in (1, 2) or r.shape[-1] == 0:
@@ -84,27 +80,16 @@ def levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.zeros((nf, p1))
     a[:, 0] = 1.0
     err = r[:, 0].copy()
-    live = np.flatnonzero(err > 0.0)
-    a_live, r_live, err_live = a[live], r[live], err[live]
-    # inf or NaN lags, or an overflow, leave a row a non-positive or NaN error
-    with np.errstate(over="ignore", invalid="ignore"):
+    ok = err > 0.0
+    # broken rows, and inf or NaN lags or an overflow, divide by zero or make NaNs
+    with np.errstate(all="ignore"):
         for i in range(1, p1):
-            acc = np.einsum("fj,fj->f", a_live[:, 1:i], r_live[:, i - 1:0:-1])  # +0.0 at i = 1
-            k = -(r_live[:, i] + acc) / err_live
-            a_live[:, 1:i] = a_live[:, 1:i] + k[:, None] * a_live[:, i - 1:0:-1]
-            a_live[:, i] = k
-            err_live = err_live * (1.0 - k * k)
-            healthy = err_live > 0.0
-            if not healthy.all():  # write the broken rows back as they stand, then drop them
-                broken = ~healthy
-                a[live[broken]] = a_live[broken]
-                err[live[broken]] = err_live[broken]
-                live = live[healthy]
-                a_live, r_live, err_live = a_live[healthy], r_live[healthy], err_live[healthy]
-    a[live] = a_live
-    err[live] = err_live
-    ok = np.zeros(nf, dtype=bool)
-    ok[live] = True
+            acc = np.einsum("fj,fj->f", a[:, 1:i], r[:, i - 1:0:-1])  # +0.0 at i = 1
+            k = -(r[:, i] + acc) / err
+            a[:, 1:i] = a[:, 1:i] + k[:, None] * a[:, i - 1:0:-1]
+            a[:, i] = k
+            err = err * (1.0 - k * k)
+            ok &= err > 0.0
     return a, err, ok
 
 
@@ -246,6 +231,8 @@ def skewness(x) -> float:
         raise UndefinedStatisticError("skewness needs at least 3 samples")
     if float(arr.max()) == float(arr.min()):
         raise UndefinedStatisticError("skewness is undefined for a constant sequence")
+    if not np.isfinite(arr).all():
+        raise UndefinedStatisticError("skewness is undefined for non-finite samples")
     d = arr - arr.mean()
     m2 = np.mean(d * d)
     m3 = np.mean(d * d * d)

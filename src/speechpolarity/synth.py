@@ -10,12 +10,10 @@ kept, so the output doubles as ground truth for epoch and peak tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
-
 import numpy as np
 from scipy.signal import lfilter
 
-from .types import InvalidInputError, Polarity, Signal, checked_rate
+from .types import InvalidInputError, Polarity, Signal, checked_rate, checked_seed
 
 DEFAULT_FORMANTS = ((700.0, 80.0), (1220.0, 100.0), (2600.0, 120.0))
 
@@ -49,8 +47,7 @@ class SynthSpec:
             raise InvalidInputError(f"jitter_pct must lie in [0, 5], got {self.jitter_pct}")
         if self.polarity not in (Polarity.POSITIVE, Polarity.NEGATIVE):
             raise InvalidInputError("polarity must be positive or negative")
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
-            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", checked_seed(self.seed))
         for centre, bw in self.formants:
             if not (0 < centre < self.sample_rate_hz / 2):
                 raise InvalidInputError(f"formant centre {centre} outside (0, fs/2)")
@@ -72,8 +69,7 @@ class NoiseSpec:
             raise InvalidInputError(f"snr_db must lie in [-10, 60], got {self.snr_db}")
         if self.kind == "file" and not self.path:
             raise InvalidInputError("file noise needs a path")
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
-            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", checked_seed(self.seed))
 
 
 def _rosenberg_cycle(period_samples: float) -> tuple[np.ndarray, int]:

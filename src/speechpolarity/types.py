@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -48,6 +48,13 @@ def checked_rate(value) -> int:
             and value % 1 == 0):
         return int(value)
     raise InvalidInputError(f"sample rate must be a whole number of Hz of at least 1, got {value!r}")
+
+
+def checked_seed(value) -> int:
+    """``value``, a non-negative integer that is not a bool, as an int."""
+    if isinstance(value, Integral) and not isinstance(value, bool) and value >= 0:
+        return int(value)
+    raise InvalidInputError(f"seed must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,6 +74,32 @@ class TestWavIO:
         with pytest.raises(FileNotFoundError, match="missing.wav"):
             load_wav("/nonexistent/missing.wav")
 
+    @staticmethod
+    def malformed(tmp_path, cut):
+        """A PCM-16 WAV cut to ``cut`` bytes, or with 0 channels in its header."""
+        path = tmp_path / "bad.wav"
+        wavfile.write(path, FS, np.arange(-800, 800, dtype=np.int16))
+        data = bytearray(path.read_bytes())
+        if cut == "0-channel":
+            data[22:24] = b"\0\0"
+        else:
+            del data[cut:]
+        path.write_bytes(bytes(data))
+        return path
+
+    # the 20- and 40-byte cuts raised struct.error, the 0-channel header ZeroDivisionError
+    @pytest.mark.parametrize("cut", (12, 20, 36, 40, "0-channel"))
+    def test_malformed_header_rejected(self, tmp_path, cut):
+        path = self.malformed(tmp_path, cut)
+        with pytest.raises(InvalidInputError, match="unreadable WAV") as info:
+            load_wav(path)
+        assert str(path) in str(info.value)
+
+    def test_cut_short_header_is_a_data_error(self, tmp_path, capsys):
+        assert main(["detect", str(self.malformed(tmp_path, 40))]) == 65
+        err = capsys.readouterr().err
+        assert "unreadable WAV" in err and "Traceback" not in err
+
     def test_unsupported_dtype(self, tmp_path):
         path = tmp_path / "u8.wav"
         wavfile.write(path, FS, np.zeros(64, dtype=np.uint8))
@@ -113,6 +139,16 @@ class TestManifest:
         manifest.write_text("only_one_field\n", encoding="utf-8")
         with pytest.raises(InvalidInputError):
             parse_manifest(manifest)
+
+    def test_not_utf8_rejected(self, tmp_path, capsys):
+        # a UnicodeDecodeError once escaped ``eval``
+        manifest = tmp_path / "m.txt"
+        manifest.write_bytes(bytes.fromhex("fffe00626164"))
+        with pytest.raises(InvalidInputError, match="not UTF-8") as info:
+            parse_manifest(manifest)
+        assert str(manifest) in str(info.value)
+        assert main(["eval", "--manifest", str(manifest)]) == 65
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_duplicate_paths_rejected(self):
         e = ManifestEntry("x.wav", Polarity.POSITIVE, "speech")

@@ -66,10 +66,17 @@ class TestGenerator:
         (dict(pitch_hz=100.0, sample_rate_hz=-5), "sample rate"),
         (dict(pitch_hz=100.0, sample_rate_hz=0), "sample rate"),
         (dict(pitch_hz=100.0, sample_rate_hz=16000.5), "sample rate"),
+        (dict(pitch_hz=100.0, seed=1.0), "seed"),
+        (dict(pitch_hz=100.0, seed=True), "seed"),  # once taken as seed 1
     ])
     def test_spec_validation(self, kwargs, match):
         with pytest.raises(InvalidInputError, match=match):
             SynthSpec(**kwargs)
+
+    @pytest.mark.parametrize("seed", (0, np.int64(7)), ids=("int", "int64"))
+    def test_seed_stored_as_int(self, seed):
+        for spec in (SynthSpec(pitch_hz=100.0, seed=seed), NoiseSpec("white", 10.0, seed=seed)):
+            assert type(spec.seed) is int and spec.seed == seed
 
     def test_pitch_rate_limit(self):
         with pytest.raises(InvalidInputError):
@@ -144,6 +151,6 @@ class TestMixNoise:
             NoiseSpec("white", 99.0)
         with pytest.raises(InvalidInputError):
             NoiseSpec("file", 10.0)
-        for seed in (-1, 2.0):  # -1 once failed only in evaluate_corpus's SeedSequence
+        for seed in (-1, 2.0, True):  # -1 once failed only in evaluate_corpus's SeedSequence
             with pytest.raises(InvalidInputError, match="seed"):
                 NoiseSpec("white", 10.0, seed=seed)
