@@ -113,6 +113,8 @@ def _cmd_eval(args) -> int:
     fmt = out.suffix.lstrip(".").lower() if out else "table"
     if out and fmt not in ("csv", "json"):  # before any file is scored
         raise InvalidInputError(f"--out must end in .csv or .json, got {args.out!r}")
+    if out and not out.parent.is_dir():
+        raise FileNotFoundError(f"--out directory does not exist: {out.parent}")
     sweep = None
     if args.snr:
         sweep = [_parse_noise(args.noise or "white", snr, args.seed or 0) for snr in args.snr]

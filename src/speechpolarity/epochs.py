@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import odd_window, subtract_moving_average
-from .types import InvalidInputError, Signal
+from .types import InvalidInputError, Signal, checked_pitch
 
 # Crossings this close to the signal boundary are discarded.  The guard serves
 # direct callers: on hp's path, from a 2.5 kHz band rate up, ZFF's two zeroed
@@ -61,8 +61,7 @@ def estimate_mean_pitch(s: Signal) -> PitchEstimate:
     at a time, each block's frame copies and spectra freed before the next,
     and only lags 0 to 20 ms + 1 sample are kept: one array about the
     input's size.  The peak memory, with the voicing step's one copy of
-    that array, is about twice the input's size, instead of 14 times for
-    a copy of every frame and its spectrum.  Each frame's power spectrum
+    that array, is about twice the input's size.  Each frame's power spectrum
     is ``np.conj(spec) * spec`` formed in place, so a frame's bits do not
     depend on how many frames share its block or the signal.
     """
@@ -128,9 +127,7 @@ def zff_filter(s: Signal, mean_pitch_hz: float) -> Signal:
     twice the input's size.
     """
     fs = s.sample_rate_hz
-    if not 0.0 < mean_pitch_hz < np.inf:
-        raise InvalidInputError(f"mean pitch must be positive and finite, got {mean_pitch_hz}")
-    window_ms = float(np.clip(1.5 * 1000.0 / mean_pitch_hz, 3.0, 25.0))
+    window_ms = float(np.clip(1.5 * 1000.0 / checked_pitch(mean_pitch_hz), 3.0, 25.0))
     width = odd_window(round(window_ms * fs / 1000.0))
     if s.samples.size < 3 * width:
         raise InvalidInputError(

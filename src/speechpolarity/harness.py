@@ -5,10 +5,10 @@ label and the label's opposite; an indeterminate decision counts against
 the method.  When an SNR sweep is requested the noise is mixed first and
 the negated trial is the exact negation of the noisy waveform, so the
 decision-antisymmetry of both detectors makes the two orientations succeed
-or fail together; any violation is recorded as an internal-consistency
-failure.  The trial loop only records one row per trial; every report
-figure (the per-method tallies and the per-SNR error rates) is computed
-from those per-file rows.
+or fail together; any violation is an internal-consistency failure.  The
+trial loop only records one row per trial; every report figure (the
+per-method tallies, the per-SNR error rates and the consistency failures,
+each of which names its sweep level) is computed from those per-file rows.
 """
 
 from __future__ import annotations
@@ -69,6 +69,12 @@ class ManifestEntry:
     true_polarity: Polarity
     kind: str
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise InvalidInputError(f"manifest kind must be speech or egg, got {self.kind!r}")
+        if self.true_polarity not in (Polarity.POSITIVE, Polarity.NEGATIVE):
+            raise InvalidInputError("manifest polarity must be positive or negative")
+
 
 @dataclass(frozen=True)
 class CorpusManifest:
@@ -81,10 +87,6 @@ class CorpusManifest:
             if e.path in seen:
                 raise InvalidInputError(f"duplicate manifest path: {e.path}")
             seen.add(e.path)
-            if e.kind not in KINDS:
-                raise InvalidInputError(f"manifest kind must be speech or egg, got {e.kind!r}")
-            if e.true_polarity not in (Polarity.POSITIVE, Polarity.NEGATIVE):
-                raise InvalidInputError("manifest polarity must be positive or negative")
 
 
 def parse_manifest(path) -> CorpusManifest:
@@ -111,7 +113,10 @@ def parse_manifest(path) -> CorpusManifest:
             raise InvalidInputError(f"{path}:{lineno}: expected `path,polarity,kind`, got {raw!r}")
         wav = parts[0]
         resolved = wav if Path(wav).is_absolute() else str(base / wav)
-        entries.append(ManifestEntry(resolved, Polarity.parse(parts[1]), parts[2].lower()))
+        try:
+            entries.append(ManifestEntry(resolved, Polarity.parse(parts[1]), parts[2].lower()))
+        except InvalidInputError as exc:  # an unknown polarity or kind, named with its line
+            raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
     return CorpusManifest(path.stem, tuple(entries))
 
 
@@ -168,7 +173,10 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
     recorded with an error marker and counted as indeterminate; the batch
     never aborts on a file.  A ``file`` noise source is read once per level;
     one that cannot be read or has zero energy raises before any file is scored.
-    A method named more than once is run once.
+    A method named more than once is run once.  Each consistency failure, an
+    original row whose twin negated row differs in ``correct``, reads
+    ``"<path> snr=<snr_db> level=<level> method=<method>"`` (``None`` for both
+    without a sweep).  ``per_snr`` pools every level at one SNR.
     """
     methods = tuple(dict.fromkeys(methods))
     for m in methods:
@@ -186,7 +194,6 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
                 raise InvalidInputError(f"{level.path}: noise source has zero energy")
             noise_files[level_idx] = noise
     records: list[TrialRecord] = []
-    consistency: list[str] = []
 
     for file_idx, entry in enumerate(manifest.entries):
         try:
@@ -203,7 +210,6 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
                     base = mix_noise(clean, replace(level, seed=seed), noise=noise_files.get(level_idx))
                 except InvalidInputError as exc:  # e.g. a silent file or another rate; recorded
                     base, base_error = None, str(exc)
-            block = len(records)
             for orientation, sig, expected in (
                     ("original", base, entry.true_polarity),
                     ("negated", None if base is None else base.negated(),
@@ -220,10 +226,11 @@ def evaluate_corpus(manifest: CorpusManifest, methods=tuple(METHODS), noise_swee
                         "error" if decision is None else decision.polarity.value,
                         "-" if decision is None else decision.evidence(),
                         decision is not None and decision.polarity is expected, error))
-            original, negated = records[block:block + len(methods)], records[block + len(methods):]
-            consistency += [f"{entry.path} snr={snr} method={a.method}"
-                            for a, b in zip(original, negated) if a.correct != b.correct]
 
+    consistency = [f"{a.path} snr={a.snr_db} level={a.level} method={a.method}"
+                   for a, b in zip([r for r in records if r.orientation == "original"],
+                                   [r for r in records if r.orientation == "negated"])
+                   if a.correct != b.correct]
     by_method = {m: [r for r in records if r.method == m] for m in methods}
     per_method = {m: _tally(rows) for m, rows in by_method.items()}
     per_snr = None

@@ -30,7 +30,8 @@ from scipy.signal import lfilter
 
 from .dsp import subtract_moving_average, zero_phase_butterworth
 from .frontend import UNVOICED, exponent_and_pitch
-from .types import InvalidInputError, Polarity, PolarityDecision, Signal, UndefinedStatisticError
+from .types import (InvalidInputError, Polarity, PolarityDecision, Signal, UndefinedStatisticError,
+                    checked_pitch)
 
 # |statistic| below this is treated as a tie.
 INDETERMINATE_BAND = 1e-6
@@ -255,9 +256,7 @@ def glottal_flow_estimate(residual: np.ndarray, sample_rate_hz: int, *,
     ``mean_pitch_hz`` is ``estimate_mean_pitch``'s result; it must be
     positive and finite.
     """
-    if not 0.0 < mean_pitch_hz < np.inf:
-        raise InvalidInputError(f"mean pitch must be positive and finite, got {mean_pitch_hz}")
-    fs = sample_rate_hz
+    fs, mean_pitch_hz = sample_rate_hz, checked_pitch(mean_pitch_hz)
     smooth = zero_phase_butterworth(residual, 4, fs, RESIDUAL_SMOOTH_HZ)
     tau = INTEGRATION_PERIODS * fs / mean_pitch_hz
     pole = float(np.exp(-1.0 / tau))

@@ -57,6 +57,13 @@ def checked_seed(value) -> int:
     raise InvalidInputError(f"seed must be a non-negative integer, got {value!r}")
 
 
+def checked_pitch(value) -> float:
+    """``value``, a positive and finite real number of Hz that is not a bool, as a float."""
+    if isinstance(value, Real) and not isinstance(value, bool) and 0 < value < np.inf:
+        return float(value)
+    raise InvalidInputError(f"mean pitch must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Signal:
     """A uniformly sampled real-valued waveform.

@@ -306,6 +306,17 @@ class TestEval:
         assert err == f"error: --out must end in .csv or .json, got {str(out)!r}\n"
         assert not out.exists()
 
+    def test_out_into_missing_directory_io_error(self, tmp_path, capsys, monkeypatch):
+        # the whole corpus was once scored before the write failed
+        calls = []
+        monkeypatch.setattr(speechpolarity.cli, "evaluate_corpus", lambda *a, **k: calls.append(a))
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_text("pos.wav,positive,speech\n", encoding="utf-8")
+        missing = tmp_path / "nodir"
+        assert main(["eval", "--manifest", str(manifest), "--out", str(missing / "r.csv")]) == 74
+        assert calls == []
+        assert str(missing) in capsys.readouterr().err
+
 
 class TestCalibrate:
     def test_reports_shipped_conventions(self, capsys):

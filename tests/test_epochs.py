@@ -259,10 +259,13 @@ class TestZffFilter:
     @pytest.mark.parametrize("stage", (zff_filter, lambda s, mean_pitch_hz: glottal_flow_estimate(
         lp_residual(s), s.sample_rate_hz, mean_pitch_hz=mean_pitch_hz)),
         ids=("zff_filter", "glottal_flow_estimate"))
-    @pytest.mark.parametrize("pitch", (0.0, -100.0, float("nan"), float("inf")))
+    @pytest.mark.parametrize("pitch", (0.0, -100.0, float("nan"), float("inf"), True, "120", None,
+                                       np.array([120.0, 130.0])))
     def test_pitch_not_positive_and_finite_rejected(self, stage, pitch):
         # unchecked, 0 and nan raised raw arithmetic errors, -100 gave a flow
-        # of magnitude 6e16, and -100 and inf clamped the ZFF window silently
+        # of magnitude 6e16, and -100 and inf clamped the ZFF window silently;
+        # True ran as 1 Hz, and a string, None or an array raised raw
+        # TypeError or ValueError
         with pytest.raises(InvalidInputError):
             stage(utterance(120.0, seed=3), mean_pitch_hz=pitch)
 

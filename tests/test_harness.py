@@ -134,11 +134,15 @@ class TestManifest:
         assert len(report.per_file) == 4
         assert not any(r.error or r.decision == "error" for r in report.per_file)
 
-    def test_bad_line_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line", ("only_one_field", "b.wav,postive,speech", "b.wav,negative,sppech"),
+                             ids=("field-count", "polarity", "kind"))
+    def test_bad_line_rejected(self, tmp_path, line):
+        # the polarity and kind errors once named neither the manifest nor the line
         manifest = tmp_path / "bad.txt"
-        manifest.write_text("only_one_field\n", encoding="utf-8")
-        with pytest.raises(InvalidInputError):
+        manifest.write_text(f"a.wav,positive,speech\n{line}\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError) as info:
             parse_manifest(manifest)
+        assert f"{manifest}:2:" in str(info.value)
 
     def test_not_utf8_rejected(self, tmp_path, capsys):
         # a UnicodeDecodeError once escaped ``eval``
@@ -380,9 +384,9 @@ class TestConsistencyFailures:
 
     def test_failures_in_manifest_sweep_method_order(self, report, tmp_path):
         assert report.consistency_failures == [
-            f"{tmp_path / name}.wav snr={snr} method={m}" for name, snr, m in (
-                ("c", 5.0, "reskew"), ("c", 20.0, "reskew"), ("a", 20.0, "hp"),
-                ("b", 5.0, "reskew"), ("b", 20.0, "reskew"))]
+            f"{tmp_path / name}.wav snr={snr} level={level} method={m}" for name, snr, level, m in (
+                ("c", 5.0, 1, "reskew"), ("c", 20.0, 2, "reskew"), ("a", 20.0, 0, "hp"),
+                ("b", 5.0, 1, "reskew"), ("b", 20.0, 2, "reskew"))]
 
     def test_tallies(self, report):
         # (correct, false, indeterminate); the missing file adds 6 indeterminate trials per method
